@@ -32,7 +32,11 @@ Commands are pure functions of the spec file and input files: rerunning
 one rewrites byte-identical artifacts. Seeds run concurrently (bounded by
 ``--threads``) with independent generator states; files are written
 atomically (temp file then rename) and report assembly is single threaded.
-A seed whose fit fails is recorded in its artifact and the run continues.
+``--threads`` sets only seed concurrency: the per-x solves of every
+regression fit go to the one pool the process shares, sized to its CPUs,
+so concurrent seeds share the cores, and artifacts do not depend on the
+thread count. A seed whose fit fails is recorded in its artifact and the
+run continues.
 
 Exit codes: 0 success, 2 validation error, 3 pipeline failure,
 4 acceptance thresholds failed (with ``--acceptance``).

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,7 +62,9 @@ class ProjectionConfig:
     pipeline: L = ceil(sqrt(n)) atoms, M = 1.1 times the largest absolute
     response, so the atom grid [-M, M] strictly contains the data hull.
     ``y_grid`` defaults to 2048 points over the data range widened by 6
-    sigma (or the bandwidth, if larger).
+    sigma (or the bandwidth, if larger).  It applies to vanilla fits only:
+    ``fit_mixed_regression`` builds its own response grid and rejects a
+    set ``y_grid``.
     """
 
     L: int | None = None
@@ -384,12 +386,12 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
     if cfg.L is None:
         if n_hint is None:
             raise ValueError("need n_hint to default L = ceil(sqrt(n))")
-        cfg = _replace_cfg(cfg, L=max(k, math.ceil(math.sqrt(n_hint))))
+        cfg = replace(cfg, L=max(k, math.ceil(math.sqrt(n_hint))))
     if cfg.L < k:
         raise ValueError(f"L={cfg.L} must be at least K={k}")
     if cfg.M is None:
         hull = max(abs(grid.lo), abs(grid.hi))
-        cfg = _replace_cfg(cfg, M=1.1 * hull)
+        cfg = replace(cfg, M=1.1 * hull)
 
     proj = project_to_gaussian_mixture(p_hat, sigma, cfg)
     delta, t0 = denoise.resolve(proj.objective)
@@ -462,7 +464,7 @@ def fit_vanilla_mixture(samples, k: int, sigma: float,
     pad = max(6.0 * sigma, h)
     y_grid = cfg.y_grid or GridSpec(y_lo - pad, y_hi + pad, 2048)
     if cfg.M is None:
-        cfg = _replace_cfg(cfg, M=1.1 * max(abs(y_lo), abs(y_hi)))
+        cfg = replace(cfg, M=1.1 * max(abs(y_lo), abs(y_hi)))
     p_hat = univariate_kde(samples, h, y_grid)
     fit = fit_mixture_from_density(p_hat, k, sigma, cfg=cfg,
                                    denoise=denoise, n_hint=n)
@@ -486,12 +488,3 @@ def outlier_mass(g: DiscreteMeasure, support_pairs, eta: float) -> float:
         d = np.maximum(np.maximum(lo - g.locations, g.locations - hi), 0.0)
         dist = np.minimum(dist, d)
     return float(g.weights[dist > eta].sum())
-
-
-def _replace_cfg(cfg: ProjectionConfig, **kw) -> ProjectionConfig:
-    merged = {
-        "L": cfg.L, "M": cfg.M, "y_grid": cfg.y_grid,
-        "solver_tol": cfg.solver_tol, "max_iters": cfg.max_iters,
-    }
-    merged.update(kw)
-    return ProjectionConfig(**merged)

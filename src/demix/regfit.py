@@ -8,6 +8,13 @@ the vector theta minimizing the L¹ gap between the weighted, shifted error
 densities and the local conditional density estimate.  Component labels
 are positional throughout: position k carries the k-th smallest recovered
 weight, its error density, and one regression curve.
+
+The per-x solves are independent and run on one thread pool shared by the
+whole process, with one thread per CPU the process may use; concurrent
+fits submit into the same pool.  What the solves of one fit share (the
+padded grid and the level-0 shift banks) is built once in an
+``MdeContext``.  Every estimate is bit-identical to a serial solve,
+whatever the thread count.
 """
 
 from __future__ import annotations
@@ -16,8 +23,11 @@ import csv
 import itertools
 import json
 import math
+import os
+import threading
 import warnings
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,33 +176,13 @@ class RegressionFit:
 # minimum-distance core
 # ---------------------------------------------------------------------------
 
-def _extended_target(p_hat: GridDensity, b_bound: float):
-    """Pad the target grid by B on both sides so shifts lose no mass."""
-    spacing = p_hat.spacing
-    pad = int(math.ceil(b_bound / spacing)) + 1
-    pts = np.concatenate([
-        p_hat.lo + spacing * np.arange(-pad, 0),
-        p_hat.grid,
-        p_hat.hi + spacing * np.arange(1, pad + 1),
-    ])
-    target = np.concatenate([
-        np.zeros(pad), p_hat.values, np.zeros(pad)
-    ])
-    quad = np.full(pts.size, spacing)
-    quad[0] *= 0.5
-    quad[-1] *= 0.5
-    return pts, target, quad
-
-
 def _shift_bank(pts: np.ndarray, f_hat: GridDensity, scale: float,
                 offsets: np.ndarray) -> np.ndarray:
     """Rows of scale * f_hat(pts - offset), linearly interpolated."""
-    bank = np.empty((offsets.size, pts.size))
-    f_pts = f_hat.grid
-    for i, off in enumerate(offsets):
-        bank[i] = np.interp(pts - off, f_pts, f_hat.values,
-                            left=0.0, right=0.0)
-    return bank * scale
+    bank = np.interp(pts[None, :] - offsets[:, None], f_hat.grid,
+                     f_hat.values, left=0.0, right=0.0)
+    bank *= scale
+    return bank
 
 
 def _axis_candidates(center: float, half: float, b_bound: float,
@@ -202,24 +192,110 @@ def _axis_candidates(center: float, half: float, b_bound: float,
     return np.linspace(lo, hi, count)
 
 
-def _sweep_full_grid(pts, target, quad, f_hats, lambdas, axes):
+class MdeContext:
+    """What the minimum-distance solves of one fit share, built once.
+
+    Holds the response grid padded by B on both sides (so shifts lose no
+    mass) with its trapezoid weights, and the level-0 shift banks.  Level
+    0 sweeps the whole box [-B, B] on every axis, so its banks depend on
+    the grid, weights, densities and settings but not on the target.
+    Everything here is read only, so concurrent solves may share one
+    context.
+    """
+
+    def __init__(self, grid: GridSpec, lambdas, f_hats, cfg: MdeConfig):
+        lambdas = np.asarray(lambdas, dtype=float)
+        k = lambdas.size
+        if k == 0 or np.any(lambdas < 0):
+            raise ValueError("lambdas must be nonnegative")
+        if abs(float(lambdas.sum()) - 1.0) > 1e-6:
+            raise ValueError("lambdas must lie on the simplex")
+        if len(f_hats) != k:
+            raise ValueError("need one density per weight")
+        for f in f_hats:
+            if not f.normalized:
+                raise ValueError(
+                    "component densities must be flagged normalized")
+        if cfg.B is None:
+            raise ValueError("MdeConfig.B must be resolved before solving")
+        if cfg.mode == "grid" and k > MAX_GRID_AXES:
+            raise ValueError(
+                f"full-grid enumeration supports K <= {MAX_GRID_AXES}; "
+                f"use MdeConfig(mode='coordinate') for K = {k}"
+            )
+        self.grid = grid
+        self.lambdas = lambdas
+        self.f_hats = tuple(f_hats)
+        self.cfg = cfg
+        spacing = grid.spacing
+        self.pad = int(math.ceil(cfg.B / spacing)) + 1
+        self.pts = np.concatenate([
+            grid.lo + spacing * np.arange(-self.pad, 0),
+            grid.points(),
+            grid.hi + spacing * np.arange(1, self.pad + 1),
+        ])
+        self.quad = np.full(self.pts.size, spacing)
+        self.quad[0] *= 0.5
+        self.quad[-1] *= 0.5
+        axis = _axis_candidates(0.0, cfg.B, cfg.B, cfg.coarse_grid)
+        self.axes0 = [axis] * k
+        self.banks0 = [_shift_bank(self.pts, f, lam, axis)
+                       for f, lam in zip(self.f_hats, lambdas)]
+        for arr in (self.pts, self.quad, axis, *self.banks0):
+            arr.flags.writeable = False
+
+    def banks(self, axes) -> list:
+        """One shift bank per axis: weighted densities at each offset.
+
+        The level-0 axes get the banks built once at construction.
+        """
+        if axes is self.axes0:
+            return self.banks0
+        return [_shift_bank(self.pts, f, lam, offsets)
+                for f, lam, offsets in zip(self.f_hats, self.lambdas, axes)]
+
+    def check_serves(self, p_hat: GridDensity, lambdas, f_hats,
+                     cfg: MdeConfig) -> None:
+        """Reject a solve whose inputs differ from the context's."""
+        if (p_hat.spec() != self.grid or cfg != self.cfg
+                or not np.array_equal(np.asarray(lambdas, dtype=float),
+                                      self.lambdas)
+                or len(f_hats) != len(self.f_hats)
+                or any(f is not g for f, g in zip(f_hats, self.f_hats))):
+            raise ValueError("MdeContext was built for another grid, "
+                             "weights, densities or MdeConfig")
+
+    def target(self, p_hat: GridDensity) -> np.ndarray:
+        """The target values on the padded grid."""
+        zeros = np.zeros(self.pad)
+        return np.concatenate([zeros, p_hat.values, zeros])
+
+
+def _sweep_full_grid(target, quad, banks, axes):
     """Exhaustive lexicographic sweep over the per-axis candidate lists.
 
     Returns the lexicographically smallest argmin and its objective.
     Candidates are enumerated with the last axis vectorized; earlier
-    candidates win ties through a strict-improvement threshold.
+    candidates win ties through a strict-improvement threshold.  Each
+    combination reuses one base vector and one row buffer, and evaluates
+    ``|(base + bank) - target| @ quad`` in that order, so the result is
+    bit-identical to fresh temporaries.  The gemv stays one call over all
+    rows: splitting it into row chunks changes its rounding.
     """
-    k = len(axes)
-    banks = [_shift_bank(pts, f_hats[j], lambdas[j], axes[j])
-             for j in range(k)]
+    last_bank = banks[-1]
+    base = np.empty(target.size)
+    rows = np.empty_like(last_bank)
+    objs = np.empty(last_bank.shape[0])
     best_obj = math.inf
     best_theta = None
-    last_bank = banks[-1]
     for combo in itertools.product(*(range(a.size) for a in axes[:-1])):
-        base = np.zeros(pts.size)
+        base.fill(0.0)
         for j, c in enumerate(combo):
-            base = base + banks[j][c]
-        objs = np.abs(base[None, :] + last_bank - target[None, :]) @ quad
+            np.add(base, banks[j][c], out=base)
+        np.add(base, last_bank, out=rows)
+        np.subtract(rows, target, out=rows)
+        np.abs(rows, out=rows)
+        np.matmul(rows, quad, out=objs)
         row_min = float(objs.min())
         tie = 1e-12 * (1.0 + abs(row_min))
         if best_theta is None \
@@ -231,11 +307,13 @@ def _sweep_full_grid(pts, target, quad, f_hats, lambdas, axes):
     return np.array(best_theta), best_obj
 
 
-def _sweep_coordinate(pts, target, quad, f_hats, lambdas, axes, theta):
+def _sweep_coordinate(ctx: MdeContext, target, banks, axes, theta):
     """One round of per-axis sweeps holding the other coordinates fixed."""
     k = len(axes)
+    pts, quad = ctx.pts, ctx.quad
     shifted = [
-        _shift_bank(pts, f_hats[j], lambdas[j], np.array([theta[j]]))[0]
+        _shift_bank(pts, ctx.f_hats[j], ctx.lambdas[j],
+                    np.array([theta[j]]))[0]
         for j in range(k)
     ]
     best_obj = float(
@@ -243,7 +321,7 @@ def _sweep_coordinate(pts, target, quad, f_hats, lambdas, axes, theta):
     )
     theta = np.array(theta, dtype=float)
     for j in range(k):
-        bank = _shift_bank(pts, f_hats[j], lambdas[j], axes[j])
+        bank = banks[j]
         others = [shifted[i] for i in range(k) if i != j]
         rest = np.sum(others, axis=0) if others else np.zeros(pts.size)
         objs = np.abs(rest[None, :] + bank - target[None, :]) @ quad
@@ -258,48 +336,34 @@ def _sweep_coordinate(pts, target, quad, f_hats, lambdas, axes, theta):
     return theta, best_obj
 
 
-def _minimize_l1(p_hat: GridDensity, lambdas, f_hats, cfg: MdeConfig):
+def _minimize_l1(p_hat: GridDensity, ctx: MdeContext):
     """Shared minimum-distance solver over the box [-B, B]^K."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    k = lambdas.size
-    if k == 0 or np.any(lambdas < 0):
-        raise ValueError("lambdas must be nonnegative")
-    if abs(float(lambdas.sum()) - 1.0) > 1e-6:
-        raise ValueError("lambdas must lie on the simplex")
-    if len(f_hats) != k:
-        raise ValueError("need one density per weight")
-    for f in f_hats:
-        if not f.normalized:
-            raise ValueError("component densities must be flagged normalized")
-    if cfg.B is None:
-        raise ValueError("MdeConfig.B must be resolved before solving")
-    if cfg.mode == "grid" and k > MAX_GRID_AXES:
-        raise ValueError(
-            f"full-grid enumeration supports K <= {MAX_GRID_AXES}; "
-            f"use MdeConfig(mode='coordinate') for K = {k}"
-        )
-    pts, target, quad = _extended_target(p_hat, cfg.B)
+    cfg = ctx.cfg
+    k = ctx.lambdas.size
+    target = ctx.target(p_hat)
 
+    def level_axes(level, centers, half):
+        if level == 0:
+            return ctx.axes0
+        return [_axis_candidates(centers[j], half, cfg.B, cfg.coarse_grid)
+                for j in range(k)]
+
+    # Banks go straight into each sweep, so one level's banks are freed
+    # before the next level builds its own.
     if cfg.mode == "grid":
         theta = None
         half = cfg.B
-        centers = np.zeros(k)
         best_obj = math.inf
-        for _level in range(cfg.refine_levels + 1):
-            axes = [
-                _axis_candidates(centers[j], half, cfg.B, cfg.coarse_grid)
-                for j in range(k)
-            ]
-            cand_theta, cand_obj = _sweep_full_grid(
-                pts, target, quad, f_hats, lambdas, axes
-            )
+        for level in range(cfg.refine_levels + 1):
+            axes = level_axes(level, theta, half)
+            cand_theta, cand_obj = _sweep_full_grid(target, ctx.quad,
+                                                    ctx.banks(axes), axes)
             if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
                 best_obj = cand_obj
                 theta = cand_theta
             elif theta is None:
                 best_obj = cand_obj
                 theta = cand_theta
-            centers = theta.copy()
             half *= cfg.shrink
         return tuple(float(v) for v in theta), float(best_obj)
 
@@ -310,33 +374,35 @@ def _minimize_l1(p_hat: GridDensity, lambdas, f_hats, cfg: MdeConfig):
     best_obj = math.inf
     for level in range(cfg.refine_levels + 1):
         for _ in range(2):  # two passes per level so axes can interact
-            axes = [
-                _axis_candidates(0.0 if level == 0 else theta[j],
-                                 half, cfg.B, cfg.coarse_grid)
-                for j in range(k)
-            ]
-            theta, best_obj = _sweep_coordinate(
-                pts, target, quad, f_hats, lambdas, axes, theta
-            )
+            axes = level_axes(level, theta, half)
+            theta, best_obj = _sweep_coordinate(ctx, target, ctx.banks(axes),
+                                                axes, theta)
         half *= cfg.shrink
     return tuple(float(v) for v in theta), float(best_obj)
 
 
 def mde_at_x(p_hat_x: GridDensity, lambdas, f_hat: GridDensity,
-             cfg: MdeConfig):
+             cfg: MdeConfig, *, context: MdeContext | None = None):
     """Regression values at one x under the common-error-density model.
 
     Minimizes ``||sum_k lambda_k f_hat(. - theta_k) - p_hat_x||_1`` over
     the box; exact ties go to the lexicographically smallest theta.
+    ``context`` carries what solves on one grid with the same weights,
+    density and settings share; the result is the same with or without.
     """
-    k = len(tuple(lambdas))
-    return _minimize_l1(p_hat_x, lambdas, [f_hat] * k, cfg)
+    f_hats = [f_hat] * len(tuple(lambdas))
+    if context is None:
+        context = MdeContext(p_hat_x.spec(), lambdas, f_hats, cfg)
+    else:
+        context.check_serves(p_hat_x, lambdas, f_hats, cfg)
+    return _minimize_l1(p_hat_x, context)
 
 
 def mde_general_at_x(p_hat_x: GridDensity, lambdas, f_hats,
                      cfg: MdeConfig):
     """Per-component-density variant of the minimum-distance step."""
-    return _minimize_l1(p_hat_x, lambdas, list(f_hats), cfg)
+    context = MdeContext(p_hat_x.spec(), lambdas, list(f_hats), cfg)
+    return _minimize_l1(p_hat_x, context)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +473,39 @@ def find_separation_point(data: Dataset, k: int, window: float,
 # full regression pipeline
 # ---------------------------------------------------------------------------
 
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _solver_pool() -> ThreadPoolExecutor:
+    """The process-wide pool for per-x solves, created on first use.
+
+    It holds one thread per CPU the process may run on.  Concurrent fits
+    all submit into it, so they share the cores instead of each adding
+    threads of its own.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            workers = (len(os.sched_getaffinity(0))
+                       if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
+            _pool = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="demix-mde")
+        return _pool
+
+
+def _forget_pool_in_child() -> None:
+    # A forked child has none of the parent's worker threads, so the
+    # parent's pool would queue work that never runs.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
 def fit_mixed_regression(data: Dataset, k: int, sigma: float,
                          x0: float | None = None,
                          a: float | None = None, b: float | None = None,
@@ -433,6 +532,11 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
         )
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if proj_cfg is not None and proj_cfg.y_grid is not None:
+        raise ValueError(
+            "ProjectionConfig.y_grid is not supported by "
+            "fit_mixed_regression, which builds its own 2048-point response "
+            "grid from the data; leave projection y_grid unset")
     bandwidth = bandwidth or BandwidthSchedule()
     kde = ConditionalKde(data, bandwidth, a=a, b=b)
     h = kde.h
@@ -466,25 +570,27 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
 
     mde_cfg = mde_cfg or MdeConfig()
     if mde_cfg.B is None:
-        mde_cfg = MdeConfig(B=1.1 * y_abs, coarse_grid=mde_cfg.coarse_grid,
-                            refine_levels=mde_cfg.refine_levels,
-                            shrink=mde_cfg.shrink, mode=mde_cfg.mode)
+        mde_cfg = replace(mde_cfg, B=1.1 * y_abs)
+    lambdas = mixture.lambdas_hat
+    context = MdeContext(y_grid, lambdas, [f_pooled] * k, mde_cfg)
+
+    def solve(x):
+        try:
+            p_hat_x = kde.conditional_density_at(float(x), y_grid)
+        except EmptyWindowError:
+            return None
+        return mde_at_x(p_hat_x, lambdas, f_pooled, mde_cfg, context=context)
 
     lo_int, hi_int = kde.interior()
     xs = np.linspace(lo_int, hi_int, n_x_grid)
     thetas = np.full((n_x_grid, k), math.nan)
     objectives = np.full(n_x_grid, math.nan)
     failed = np.zeros(n_x_grid, dtype=bool)
-    for i, x in enumerate(xs):
-        try:
-            p_hat_x = kde.conditional_density_at(float(x), y_grid)
-        except EmptyWindowError:
+    for i, solved in enumerate(_solver_pool().map(solve, xs)):
+        if solved is None:
             failed[i] = True
-            continue
-        theta, obj = mde_at_x(p_hat_x, mixture.lambdas_hat, f_pooled,
-                              mde_cfg)
-        thetas[i] = theta
-        objectives[i] = obj
+        else:
+            thetas[i], objectives[i] = solved
     if np.all(failed):
         raise EmptyWindowError(
             "every x-grid window was empty; bandwidth too small for n"

@@ -576,6 +576,11 @@ class Dataset:
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1 or x.size == 0:
             raise ValueError("x and y must be equal-length nonempty vectors")
+        for name, arr in (("x", x), ("y", y)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(
+                    f"{name} holds a non-finite value at index "
+                    f"{int(np.flatnonzero(~np.isfinite(arr))[0])}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -601,7 +606,10 @@ class Dataset:
         if not rows:
             raise ValueError(f"no data rows in {path}")
         xs, ys = zip(*rows)
-        return cls(np.array(xs), np.array(ys), seed, model_id)
+        try:
+            return cls(np.array(xs), np.array(ys), seed, model_id)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_samples_csv(path, samples) -> None:

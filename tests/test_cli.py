@@ -213,6 +213,35 @@ def test_fit_rerun_is_byte_identical(reg_run):
         assert open(p, "rb").read() == first[p]
 
 
+def test_fit_artifacts_do_not_depend_on_threads(tmp_path):
+    spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(),
+                      [400], [0, 1, 2], configs={"x0": 1.0, "n_x_grid": 9})
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["simulate", "--spec", spec, "--out", str(out)]) == 0
+        assert main(["fit-regression", "--spec", spec, "--out", str(out),
+                     "--threads", threads]) == 0
+        runs[threads] = {path.name: path.read_bytes()
+                         for path in sorted(out.iterdir())
+                         if path.name.startswith(("fit_", "plot_"))}
+    assert len(runs["1"]) == 6
+    assert runs["1"] == runs["2"]
+
+
+def test_fit_regression_rejects_projection_y_grid(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    spec = write_spec(
+        tmp_path / "exp.json", crossing_lines_obj(), [400], [0],
+        configs={"x0": 1.0, "n_x_grid": 9,
+                 "projection": {"y_grid": {"lo": -3.0, "hi": 3.0,
+                                           "n_points": 512}}},
+        out=out)
+    assert main(["simulate", "--spec", spec]) == 0
+    assert main(["fit-regression", "--spec", spec]) == 2
+    assert "y_grid" in capsys.readouterr().err
+
+
 def test_fit_mixture_artifacts(tmp_path):
     out = str(tmp_path / "out")
     spec = write_spec(tmp_path / "exp.json", box_mixture_obj(),

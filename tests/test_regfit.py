@@ -15,7 +15,7 @@ from demix.measures import (
     GridSpec,
     gaussian_blur_values,
 )
-from demix.mixfit import estimate_components
+from demix.mixfit import ProjectionConfig, estimate_components
 from demix.regfit import (
     MdeConfig,
     RegressionFit,
@@ -399,6 +399,14 @@ def test_fit_deterministic():
     assert a.per_x_objective == b.per_x_objective
     assert a.x0_used == b.x0_used
     assert a.mixture.lambdas_hat == b.mixture.lambdas_hat
+
+
+def test_fit_rejects_projection_y_grid():
+    model = crossing_lines_model()
+    data = sample_mixed_regression(model, 400, seed=0)
+    cfg = ProjectionConfig(y_grid=GridSpec(-3.0, 3.0, 512))
+    with pytest.raises(ValueError, match="y_grid"):
+        fit_mixed_regression(data, 2, 0.2, x0=1.0, proj_cfg=cfg)
 
 
 def test_fit_finds_x0_when_omitted():

@@ -382,6 +382,22 @@ def test_samples_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back, ys)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dataset_rejects_non_finite_values(tmp_path, bad):
+    good = np.array([0.0, 0.5, 1.0])
+    spoiled = np.array([0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="^x holds a non-finite value"):
+        Dataset(spoiled, good, seed=0)
+    with pytest.raises(ValueError, match="^y holds a non-finite value"):
+        Dataset(good, spoiled, seed=0)
+    path = tmp_path / "data.csv"
+    path.write_text(f"x,y\n0.0,1.0\n{bad!r},2.0\n")
+    with pytest.raises(ValueError, match="x holds a non-finite value") \
+            as info:
+        Dataset.from_csv(path)
+    assert str(path) in str(info.value)
+
+
 def test_dataset_rejects_bad_shapes(tmp_path):
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, 2.0]), np.array([1.0]), seed=0)
