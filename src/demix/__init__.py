@@ -74,6 +74,7 @@ from .errors import (
     EmptyWindowError,
     InsufficientDataError,
     PipelineError,
+    ProjectionError,
     ThresholdTooHighError,
     UnderResolutionError,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "MixtureFit",
     "PipelineError",
     "ProjectionConfig",
+    "ProjectionError",
     "ProjectionResult",
     "RegressionCurve",
     "RegressionFit",

@@ -14,6 +14,10 @@ class EmptyWindowError(PipelineError):
     """No samples fall inside the requested covariate window."""
 
 
+class ProjectionError(PipelineError):
+    """The projection linear program returned no solution."""
+
+
 class ThresholdTooHighError(PipelineError):
     """The super-level set at the requested threshold is empty."""
 

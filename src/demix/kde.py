@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindowError
-from .measures import GridDensity, GridSpec, box_mixture_density
+from .measures import GridDensity, GridSpec, _sorted_box_mixture_density
 from .synth import Dataset
 
 
@@ -165,7 +165,7 @@ def conditional_density_at(kde: ConditionalKde, x: float,
             "widen the bandwidth or move the query point"
         )
     weights = np.full(ys.size, 1.0 / ys.size)
-    return box_mixture_density(ys, weights, kde.h, grid)
+    return _sorted_box_mixture_density(np.sort(ys), weights, kde.h, grid)
 
 
 def univariate_kde(samples, h: float, grid: GridSpec) -> GridDensity:
@@ -178,4 +178,4 @@ def univariate_kde(samples, h: float, grid: GridSpec) -> GridDensity:
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     weights = np.full(samples.size, 1.0 / samples.size)
-    return box_mixture_density(samples, weights, h, grid)
+    return _sorted_box_mixture_density(np.sort(samples), weights, h, grid)

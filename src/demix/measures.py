@@ -33,6 +33,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, hstack, vstack
 
+from .errors import ProjectionError
+
 WEIGHT_TOL = 1e-12
 GRID_NORM_TOL = 1e-3
 
@@ -507,8 +509,20 @@ def box_mixture_density(locations, weights, half_width: float,
     if locs.size != wts.size:
         raise ValueError("locations and weights must have equal length")
     order = np.argsort(locs, kind="stable")
-    locs = locs[order]
-    wts = wts[order]
+    return _sorted_box_mixture_density(locs[order], wts[order], half_width,
+                                       grid)
+
+
+def _sorted_box_mixture_density(locs, wts, half_width: float,
+                                grid: GridSpec) -> GridDensity:
+    """``box_mixture_density`` for finite locations already sorted ascending.
+
+    With equal weights, ``np.sort`` gives the same arrays as the stable
+    argsort and its gathers, except that tied 0.0 and -0.0 may swap, which
+    cannot change a cumulative sum's nonzero values or the output.  Callers
+    holding equal-weight samples pass ``np.sort(samples)`` and skip the
+    permutation.
+    """
     cum_w = np.concatenate([[0.0], np.cumsum(wts)])
     cum_wa = np.concatenate([[0.0], np.cumsum(wts * locs)])
 
@@ -533,16 +547,27 @@ def box_mixture_density(locations, weights, half_width: float,
 # Sparse helpers for the projection LP live here so mixfit stays free of
 # scipy.sparse plumbing.
 
+# HiGHS ignores every constraint-matrix entry with |a| <= small_matrix_value
+# (default 1e-9) when it loads a model.  Leaving those entries out of the
+# sparse matrix gives HiGHS the same model without building, copying and
+# discarding them; the Gaussian design is mostly such entries.
+HIGHS_SMALL_MATRIX_VALUE = 1e-9
+
+
 def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
                    quad_weights: np.ndarray, tol: float = 1e-8,
                    maxiter: int = 5000):
     """Minimize ||design @ w - target||_{1,quad} over the simplex.
 
     Returns ``(w, objective, optimal)``.  The absolute residuals are lifted
-    to auxiliary variables, giving a plain LP solved by HiGHS.
+    to auxiliary variables, giving a plain LP solved by HiGHS; the objective
+    is evaluated on the full dense design.  Raises ``ProjectionError`` when
+    HiGHS returns no solution, for example on hitting ``maxiter``.
     """
     n_grid, n_atoms = design.shape
-    a_sparse = csr_matrix(design)
+    rows, cols = np.nonzero(np.abs(design) > HIGHS_SMALL_MATRIX_VALUE)
+    a_sparse = csr_matrix((design[rows, cols], (rows, cols)),
+                          shape=design.shape)
     eye = csr_matrix((np.ones(n_grid), (range(n_grid), range(n_grid))),
                      shape=(n_grid, n_grid))
     a_ub = vstack([hstack([a_sparse, -eye]), hstack([-a_sparse, -eye])],
@@ -559,7 +584,10 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
                            "primal_feasibility_tolerance": float(tol),
                            "dual_feasibility_tolerance": float(tol)})
     if res.x is None:
-        return np.full(n_atoms, 1.0 / n_atoms), math.inf, False
+        raise ProjectionError(
+            f"HiGHS returned no solution (status {res.status}: "
+            f"{res.message})"
+        )
     w = np.maximum(res.x[:n_atoms], 0.0)
     total = w.sum()
     if total > 0:

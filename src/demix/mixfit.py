@@ -210,8 +210,9 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
     The atoms are L equally spaced points on [-M, M]; only the simplex
     weights are optimized, so the discretized objective
     ``||sum_l w_l phi_sigma(. - a_l) - p_hat||_1`` is a linear program.
-    A solver that stops on its iteration cap still returns its best
-    iterate, flagged as not converged.
+    A solve that ends with a solution short of optimality is flagged as not
+    converged; one that ends without any solution (scipy gives none when
+    HiGHS stops on ``max_iters``) raises ``ProjectionError``.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")

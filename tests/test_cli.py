@@ -259,6 +259,19 @@ def test_fit_mixture_artifacts(tmp_path):
     assert len(row) == 3
 
 
+def test_fit_without_lp_solution_records_projection_error(tmp_path,
+                                                          capsys):
+    out = str(tmp_path / "out")
+    spec = write_spec(tmp_path / "exp.json", box_mixture_obj(), [800], [0],
+                      configs={"projection": {"max_iters": 1}}, out=out)
+    assert main(["simulate", "--spec", spec]) == 0
+    assert main(["fit-mixture", "--spec", spec]) == 3
+    record = read_json(os.path.join(out, "fit_mixture_n800_seed0.json"))
+    assert record["status"] == "failed"
+    assert record["error_type"] == "ProjectionError"
+    assert "FAILED ProjectionError" in capsys.readouterr().out
+
+
 def test_fit_missing_dataset_names_seed(tmp_path, capsys):
     out = str(tmp_path / "out")
     spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(),

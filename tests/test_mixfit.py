@@ -9,6 +9,7 @@ import pytest
 from demix.errors import (
     DegenerateComponentError,
     InsufficientDataError,
+    ProjectionError,
     ThresholdTooHighError,
     UnderResolutionError,
 )
@@ -145,6 +146,22 @@ def test_project_validation():
         project_to_gaussian_mixture(p_hat, -0.5, ProjectionConfig(L=11, M=2.0))
     with pytest.raises(ValueError):
         project_to_gaussian_mixture(p_hat, 0.5, ProjectionConfig(L=None, M=2.0))
+
+
+def test_project_without_lp_solution_raises():
+    # scipy returns no iterate when HiGHS stops on its iteration cap.
+    grid = GridSpec(-6.0, 6.0, 2048)
+    p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
+    cfg = ProjectionConfig(L=161, M=4.0, max_iters=1)
+    with pytest.raises(ProjectionError, match="no solution"):
+        project_to_gaussian_mixture(p_hat, 0.25, cfg)
+
+
+def test_fit_without_lp_solution_raises_projection_error():
+    samples = sample_vanilla_mixture(two_bump_model(), 2000, seed=0)
+    with pytest.raises(ProjectionError, match="no solution"):
+        fit_vanilla_mixture(samples, 2, 0.25,
+                            cfg=ProjectionConfig(max_iters=1))
 
 
 # ---------------------------------------------------------------------------
