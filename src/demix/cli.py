@@ -36,18 +36,25 @@ atomically (temp file then rename) and report assembly is single threaded.
 regression fit go to the one pool the process shares, sized to its CPUs,
 so concurrent seeds share the cores, and artifacts do not depend on the
 thread count. A seed whose fit fails is recorded in its artifact and the
-run continues.
+run continues; a missing dataset stops the run, naming the first such seed
+in (n, seed) order.
 
-Exit codes: 0 success, 2 validation error, 3 pipeline failure,
-4 acceptance thresholds failed (with ``--acceptance``).
+Seeds, in the spec, in ``--seeds`` and in ``demo-nonident``, must be
+distinct nonnegative integers. Every settings block (the spec, ``configs``
+and each block inside it) rejects keys it does not know.
+
+Exit codes: 0 success, 2 validation error (including any malformed spec),
+3 pipeline failure, 4 acceptance thresholds failed (with ``--acceptance``).
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -60,8 +67,9 @@ from .kde import BandwidthSchedule
 from .measures import GridSpec, l1_distance, wasserstein1
 from .mixfit import (DenoiseConfig, MixtureFit, ProjectionConfig,
                      fit_vanilla_mixture)
-from .regfit import (MdeConfig, RegressionFit, evaluate_regression_fit,
-                     find_separation_point, fit_mixed_regression)
+from .regfit import (X_GRID_POINTS, MdeConfig, RegressionFit,
+                     evaluate_regression_fit, find_separation_point,
+                     fit_mixed_regression)
 from .synth import (Dataset, MixedRegressionModel, MixingSpec,
                     RegressionCurve, SeparationWarning, VanillaMixtureModel,
                     load_samples_csv, sample_mixed_regression,
@@ -130,25 +138,47 @@ def model_from_json_obj(obj: dict):
     raise ValueError(f"unknown model type {tag!r}")
 
 
-def _parse_projection(obj: dict) -> ProjectionConfig:
-    kwargs = {key: obj[key] for key in
-              ("L", "M", "solver_tol", "max_iters") if key in obj}
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int, if it is a whole number of at least 1."""
+    # JSON numbers parse to exactly int or float; bool is excluded.
+    whole = (type(value) is int
+             or type(value) is float and value.is_integer())
+    if not whole or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _parse_seeds(raw, name: str) -> tuple:
+    """Seeds from a spec's JSON list or a flag's comma-separated text: at
+    least one, all distinct nonnegative integers."""
+    if isinstance(raw, str):
+        try:
+            raw = [int(s) for s in raw.split(",")]
+        except ValueError:
+            raise ValueError(f"{name} must be comma-separated integers, "
+                             f"got {raw!r}") from None
+    if (not raw or any(type(s) is not int or s < 0 for s in raw)
+            or len(set(raw)) != len(raw)):
+        raise ValueError(f"{name} must be a nonempty list of distinct "
+                         f"nonnegative integers, got {raw!r}")
+    return tuple(raw)
+
+
+def _parse_config(cls, obj, name: str):
+    """Build the settings dataclass ``cls`` from the spec block ``name``,
+    whose keys must be fields of ``cls``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
     if "y_grid" in obj:
-        g = obj["y_grid"]
-        kwargs["y_grid"] = GridSpec(g["lo"], g["hi"], g["n_points"])
-    return ProjectionConfig(**kwargs)
-
-
-def _parse_denoise(obj: dict) -> DenoiseConfig:
-    return DenoiseConfig(schedule=obj.get("schedule", "auto"),
-                         delta=obj.get("delta"), t=obj.get("t"))
-
-
-def _parse_mde(obj: dict) -> MdeConfig:
-    kwargs = {key: obj[key] for key in
-              ("B", "coarse_grid", "refine_levels", "shrink", "mode")
-              if key in obj}
-    return MdeConfig(**kwargs)
+        obj = {**obj, "y_grid": _parse_config(GridSpec, obj["y_grid"],
+                                              f"{name}.y_grid")}
+    try:
+        return cls(**obj)
+    except TypeError as exc:  # a value of the wrong type
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,7 +199,7 @@ class ExperimentSpec:
     denoise: DenoiseConfig | None = None
     mde: MdeConfig | None = None
     x0: float | None = None
-    n_x_grid: int | None = None
+    n_x_grid: int = X_GRID_POINTS
     window: float | None = None
     out: str | None = None
 
@@ -184,55 +214,54 @@ class ExperimentSpec:
         unknown = set(obj) - _SPEC_KEYS
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        if "model" not in obj:
-            raise ValueError("spec needs a 'model' object")
         model = model_from_json_obj(obj["model"])
 
         raw_n = obj.get("n", [])
         if isinstance(raw_n, (int, float)):
             raw_n = [raw_n]
-        n_values = []
-        for v in raw_n:
-            if int(v) != v or int(v) < 1:
-                raise ValueError(f"n must be a positive integer, got {v!r}")
-            n_values.append(int(v))
+        n_values = [_positive_int(v, "n") for v in raw_n]
         if not n_values:
             raise ValueError("spec needs at least one sample size in 'n'")
 
-        seeds = [int(s) for s in obj.get("seeds", [])]
-        if not seeds:
-            raise ValueError("spec needs a nonempty 'seeds' list")
-        if any(s < 0 for s in seeds):
-            raise ValueError("seeds must be nonnegative")
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("seeds must be distinct")
-
+        seeds = obj.get("seeds")
+        if not isinstance(seeds, list):
+            raise ValueError("spec needs a 'seeds' list")
         configs = obj.get("configs", {})
+        if not isinstance(configs, dict):
+            raise ValueError("configs must be a JSON object")
         unknown = set(configs) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        bandwidth = (BandwidthSchedule.from_json_obj(configs["bandwidth"])
-                     if "bandwidth" in configs else None)
-        projection = (_parse_projection(configs["projection"])
-                      if "projection" in configs else None)
-        denoise = (_parse_denoise(configs["denoise"])
-                   if "denoise" in configs else None)
-        mde = _parse_mde(configs["mde"]) if "mde" in configs else None
+        settings = {key: _parse_config(cfg_cls, configs[key], key)
+                    for key, cfg_cls in (("projection", ProjectionConfig),
+                                         ("denoise", DenoiseConfig),
+                                         ("mde", MdeConfig))
+                    if key in configs}
+        if "bandwidth" in configs:
+            settings["bandwidth"] = BandwidthSchedule.from_json_obj(
+                configs["bandwidth"])
+        if "n_x_grid" in configs:
+            settings["n_x_grid"] = _positive_int(configs["n_x_grid"],
+                                                 "n_x_grid")
+        window = configs.get("window")
+        if window is not None and not (type(window) in (int, float)
+                                       and 0 < window < math.inf):
+            raise ValueError(f"window must be a positive number, "
+                             f"got {window!r}")
+        out = obj.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"out must be a path string, got {out!r}")
 
         return cls(
             model=model,
             n_values=tuple(sorted(n_values)),
-            seeds=tuple(seeds),
+            seeds=_parse_seeds(seeds, "seeds"),
             k=model.k,
             sigma=model.sigma,
-            bandwidth=bandwidth,
-            projection=projection,
-            denoise=denoise,
-            mde=mde,
             x0=configs.get("x0"),
-            n_x_grid=configs.get("n_x_grid"),
-            window=configs.get("window"),
-            out=obj.get("out"),
+            window=window,
+            out=out,
+            **settings,
         )
 
 
@@ -241,11 +270,7 @@ def _apply_overrides(spec: ExperimentSpec,
     """Fold command-line flags into the loaded spec."""
     updates = {}
     if args.seeds is not None:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-        if not seeds or any(s < 0 for s in seeds):
-            raise ValueError("--seeds needs comma-separated "
-                             "nonnegative integers")
-        updates["seeds"] = seeds
+        updates["seeds"] = _parse_seeds(args.seeds, "--seeds")
     if args.K is not None:
         if args.K < 1:
             raise ValueError("--K must be at least 1")
@@ -255,14 +280,11 @@ def _apply_overrides(spec: ExperimentSpec,
             raise ValueError("--sigma must be positive")
         updates["sigma"] = args.sigma
 
-    if args.L is not None or args.M is not None:
-        base = spec.projection or ProjectionConfig()
-        proj_kw = {}
-        if args.L is not None:
-            proj_kw["L"] = args.L
-        if args.M is not None:
-            proj_kw["M"] = args.M
-        updates["projection"] = dataclasses.replace(base, **proj_kw)
+    proj_kw = {key: value for key, value in (("L", args.L), ("M", args.M))
+               if value is not None}
+    if proj_kw:
+        updates["projection"] = dataclasses.replace(
+            spec.projection or ProjectionConfig(), **proj_kw)
 
     if (args.delta is not None or args.threshold is not None
             or args.auto_schedule):
@@ -273,11 +295,11 @@ def _apply_overrides(spec: ExperimentSpec,
         updates["denoise"] = DenoiseConfig(schedule=schedule,
                                            delta=delta, t=t)
 
-    if args.bandwidth_exp is not None or args.bandwidth_c is not None:
-        c = args.bandwidth_c if args.bandwidth_c is not None else 1.0
-        exponent = (args.bandwidth_exp
-                    if args.bandwidth_exp is not None else -0.25)
-        updates["bandwidth"] = BandwidthSchedule.power_law(c, exponent)
+    bw_kw = {key: value for key, value in (("c", args.bandwidth_c),
+                                           ("exponent", args.bandwidth_exp))
+             if value is not None}
+    if bw_kw:
+        updates["bandwidth"] = BandwidthSchedule.power_law(**bw_kw)
 
     return dataclasses.replace(spec, **updates) if updates else spec
 
@@ -290,12 +312,17 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"spec file {args.spec}: invalid JSON ({exc})")
-    return _apply_overrides(ExperimentSpec.from_json_obj(obj), args)
+    try:
+        spec = ExperimentSpec.from_json_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"spec file {args.spec}: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"spec file {args.spec}: {exc}") from None
+    return _apply_overrides(spec, args)
 
 
-def _out_dir(spec: ExperimentSpec | None,
-             args: argparse.Namespace) -> str:
-    out = args.out or (spec.out if spec is not None else None)
+def _out_dir(spec: ExperimentSpec, args: argparse.Namespace) -> str:
+    out = args.out or spec.out
     if not out:
         raise ValueError("an output directory is required "
                          "(--out or the spec's 'out' field)")
@@ -314,20 +341,39 @@ def _require_kind(spec: ExperimentSpec, kind: str, command: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_tasks(tasks, worker, threads: int) -> list:
-    """Run worker over tasks, optionally in a thread pool.
+    """Run worker over tasks, in a thread pool when threads > 1.
 
     Results come back in task order regardless of completion order, so
-    everything downstream is deterministic. Worker exceptions propagate.
+    everything downstream is deterministic. The first worker exception in
+    task order propagates, and tasks not yet started are cancelled.
     """
     if threads > 1 and len(tasks) > 1:
-        results = {}
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
         with pool:
-            futures = {pool.submit(worker, *task): task for task in tasks}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-        return [results[task] for task in tasks]
+            return list(pool.map(lambda task: worker(*task), tasks))
     return [worker(*task) for task in tasks]
+
+
+@contextlib.contextmanager
+def _recording(record: dict):
+    """Mark ``record`` ok when the block completes, or failed with the
+    ``PipelineError`` it raised, which then goes no further."""
+    try:
+        yield
+    except PipelineError as exc:
+        record.update(status="failed", error_type=type(exc).__name__,
+                      error=str(exc))
+    else:
+        record["status"] = "ok"
+
+
+def _report_seeds(records: list, ok_text) -> int:
+    """Print one line per (n, seed) record; return how many succeeded."""
+    for r in records:
+        result = (ok_text(r) if r["status"] == "ok"
+                  else f"FAILED {r['error_type']}: {r['error']}")
+        print(f"n={r['n']} seed={r['seed']}: {result}")
+    return sum(r["status"] == "ok" for r in records)
 
 
 def _dataset_path(out: str, n: int, seed: int) -> str:
@@ -447,46 +493,29 @@ def cmd_fit(spec: ExperimentSpec, out: str, threads: int,
 
     def worker(n: int, seed: int) -> dict:
         data = _load_dataset(out, n, seed, kind)
+        plot = _plot_path(out, kind, n, seed)
         record = {"n": n, "seed": seed}
-        try:
+        with _recording(record):
             if kind == "regression":
-                kwargs = {"x0": spec.x0, "a": model.a, "b": model.b,
-                          "bandwidth": spec.bandwidth,
-                          "proj_cfg": spec.projection,
-                          "denoise": spec.denoise,
-                          "mde_cfg": spec.mde}
-                if spec.n_x_grid is not None:
-                    kwargs["n_x_grid"] = spec.n_x_grid
-                fit = fit_mixed_regression(data, spec.k, spec.sigma,
-                                           **kwargs)
-                plot = _plot_path(out, kind, n, seed)
+                fit = fit_mixed_regression(
+                    data, spec.k, spec.sigma, x0=spec.x0, a=model.a,
+                    b=model.b, bandwidth=spec.bandwidth,
+                    proj_cfg=spec.projection, denoise=spec.denoise,
+                    mde_cfg=spec.mde, n_x_grid=spec.n_x_grid)
                 _write_regression_plot(plot, fit, model)
             else:
                 fit = fit_vanilla_mixture(data, spec.k, spec.sigma,
                                           cfg=spec.projection,
                                           denoise=spec.denoise,
                                           bandwidth=spec.bandwidth)
-                plot = _plot_path(out, kind, n, seed)
                 _write_mixture_plot(plot, fit, model)
-        except PipelineError as exc:
-            record.update(status="failed",
-                          error_type=type(exc).__name__,
-                          error=str(exc))
-        else:
-            record.update(status="ok", fit=fit.to_json_obj())
+            record["fit"] = fit.to_json_obj()
         _atomic_write_json(_fit_path(out, kind, n, seed), record)
         return record
 
     tasks = [(n, seed) for n in spec.n_values for seed in spec.seeds]
     records = _run_tasks(tasks, worker, threads)
-    n_ok = 0
-    for record in records:
-        if record["status"] == "ok":
-            n_ok += 1
-            print(f"n={record['n']} seed={record['seed']}: ok")
-        else:
-            print(f"n={record['n']} seed={record['seed']}: "
-                  f"FAILED {record['error_type']}: {record['error']}")
+    n_ok = _report_seeds(records, lambda r: "ok")
     print(f"{n_ok}/{len(records)} fits succeeded")
     return EXIT_OK if n_ok > 0 else EXIT_PIPELINE
 
@@ -499,17 +528,13 @@ def cmd_find_sep(spec: ExperimentSpec, out: str, threads: int) -> int:
 
     def worker(n: int, seed: int) -> dict:
         data = _load_dataset(out, n, seed, "regression")
-        window = spec.window or schedule.bandwidth(n)
+        window = (spec.window if spec.window is not None
+                  else schedule.bandwidth(n))
         record = {"n": n, "seed": seed, "window": window}
-        try:
+        with _recording(record):
             x_star, profile = find_separation_point(
                 data, spec.k, window, a=model.a, b=model.b)
-        except PipelineError as exc:
-            record.update(status="failed",
-                          error_type=type(exc).__name__,
-                          error=str(exc))
-        else:
-            record.update(status="ok", x_star=x_star,
+            record.update(x_star=x_star,
                           profile=[[x, s] for x, s in profile])
         _atomic_write_json(os.path.join(out, f"sep_n{n}_seed{seed}.json"),
                            record)
@@ -517,15 +542,7 @@ def cmd_find_sep(spec: ExperimentSpec, out: str, threads: int) -> int:
 
     tasks = [(n, seed) for n in spec.n_values for seed in spec.seeds]
     records = _run_tasks(tasks, worker, threads)
-    n_ok = 0
-    for record in records:
-        if record["status"] == "ok":
-            n_ok += 1
-            print(f"n={record['n']} seed={record['seed']}: "
-                  f"x*={record['x_star']:.6g}")
-        else:
-            print(f"n={record['n']} seed={record['seed']}: "
-                  f"FAILED {record['error_type']}: {record['error']}")
+    n_ok = _report_seeds(records, lambda r: f"x*={r['x_star']:.6g}")
     return EXIT_OK if n_ok > 0 else EXIT_PIPELINE
 
 
@@ -542,16 +559,14 @@ def _mixture_fit_metrics(fit: MixtureFit,
     mu_true = np.asarray(model.mus)[order]
     lam_err = float(np.max(np.abs(np.asarray(fit.lambdas_hat) - lam_true)))
     mu_err = float(np.max(np.abs(np.asarray(fit.mus_hat) - mu_true)))
-    f_errs = []
-    for j, f_hat in zip(order, fit.f_hats):
-        truth = model.component_density(int(j), f_hat.spec())
-        f_errs.append(l1_distance(f_hat, truth))
+    f_err = max(l1_distance(f_hat, model.component_density(int(j),
+                                                           f_hat.spec()))
+                for j, f_hat in zip(order, fit.f_hats))
     w1 = wasserstein1(fit.g_hat, model.mixing_measure())
     return {
         "lambda_error": lam_err,
         "mu_error": mu_err,
-        "f_l1_errors": [float(v) for v in f_errs],
-        "f_l1_max": float(max(f_errs)),
+        "f_l1_max": float(f_err),
         "w1_mixing": float(w1),
     }
 
@@ -577,9 +592,8 @@ def _seed_metrics(spec: ExperimentSpec, out: str, n: int,
         fit = RegressionFit.from_json_obj(record["fit"])
         report = evaluate_regression_fit(fit, spec.model)
         return {name: report[name] for name in _REGRESSION_METRICS}
-    fit = MixtureFit.from_json_obj(record["fit"])
-    report = _mixture_fit_metrics(fit, spec.model)
-    return {name: report[name] for name in _MIXTURE_METRICS}
+    return _mixture_fit_metrics(MixtureFit.from_json_obj(record["fit"]),
+                                spec.model)
 
 
 def _aggregate(values: list) -> dict:
@@ -592,36 +606,30 @@ def _aggregate(values: list) -> dict:
     }
 
 
-def _acceptance_checks(kind: str, per_n: dict, n_values) -> list:
-    """Threshold and trend checks on the per-n medians."""
+def _acceptance_checks(kind: str, trend: list) -> list:
+    """Threshold and trend checks on the per-n medians of the trend table,
+    whose entries run in ascending n."""
     if kind == "regression":
         rules = [("m_mean_abs_max", REGRESSION_MEDIAN_BOUND)]
     else:
         rules = [("lambda_error", MIXTURE_LAMBDA_BOUND),
                  ("f_l1_max", MIXTURE_F_BOUND)]
     checks = []
-    largest = max(n_values)
     for metric, bound in rules:
-        medians = {}
-        for n in n_values:
-            block = per_n[str(n)]["metrics"]
-            medians[n] = (block[metric]["median"]
-                          if metric in block else None)
-        final = medians[largest]
-        ok = final is not None and final <= bound
+        medians = [(entry["n"], entry[f"{metric}_median"]) for entry in trend]
+        largest, final = medians[-1]
         checks.append({
             "name": f"{metric} median at n={largest} <= {bound}",
             "value": final,
-            "ok": bool(ok),
+            "ok": final is not None and final <= bound,
         })
-        for small, large in zip(n_values[:-1], n_values[1:]):
-            lo, hi = medians[large], medians[small]
+        for (small, hi), (large, lo) in zip(medians[:-1], medians[1:]):
             ok = lo is not None and hi is not None and lo < hi
             checks.append({
                 "name": f"{metric} median decreases "
                         f"from n={small} to n={large}",
                 "value": None if lo is None or hi is None else hi - lo,
-                "ok": bool(ok),
+                "ok": ok,
             })
     return checks
 
@@ -630,7 +638,9 @@ def cmd_eval(spec: ExperimentSpec, out: str,
              acceptance: bool) -> int:
     """Aggregate stored fits into a median/IQR report with a trend table
     across sample sizes."""
-    per_n = {}
+    metric_names = (_REGRESSION_METRICS if spec.kind == "regression"
+                    else _MIXTURE_METRICS)
+    per_n, trend = {}, []
     for n in spec.n_values:
         rows, failed = [], []
         for seed in spec.seeds:
@@ -639,30 +649,20 @@ def cmd_eval(spec: ExperimentSpec, out: str,
                 failed.append(seed)
             else:
                 rows.append(metrics)
-        block = {"n_seeds": len(spec.seeds), "failed_seeds": failed,
-                 "metrics": {}}
-        if rows:
-            for name in rows[0]:
-                block["metrics"][name] = _aggregate(
-                    [row[name] for row in rows])
-        per_n[str(n)] = block
-
-    metric_names = (_REGRESSION_METRICS if spec.kind == "regression"
-                    else _MIXTURE_METRICS)
-    trend = []
-    for n in spec.n_values:
-        entry = {"n": n,
-                 "n_failed": len(per_n[str(n)]["failed_seeds"])}
+        metrics = ({name: _aggregate([row[name] for row in rows])
+                    for name in metric_names} if rows else {})
+        per_n[str(n)] = {"n_seeds": len(spec.seeds), "failed_seeds": failed,
+                         "metrics": metrics}
+        entry = {"n": n, "n_failed": len(failed)}
         for name in metric_names:
-            block = per_n[str(n)]["metrics"]
-            entry[f"{name}_median"] = (block[name]["median"]
-                                       if name in block else None)
+            entry[f"{name}_median"] = (metrics[name]["median"] if rows
+                                       else None)
         trend.append(entry)
 
     report = {"kind": spec.kind, "per_n": per_n, "trend": trend}
     code = EXIT_OK
     if acceptance:
-        checks = _acceptance_checks(spec.kind, per_n, spec.n_values)
+        checks = _acceptance_checks(spec.kind, trend)
         passed = all(c["ok"] for c in checks)
         report["acceptance"] = {"passed": passed, "checks": checks}
         if not passed:
@@ -720,44 +720,35 @@ def _demo_equal_weights(out: str, n: int, seeds, threads: int) -> None:
     equal = _crossing_lines_model((0.5, 0.5))
     contrast = _crossing_lines_model((0.35, 0.65))
 
-    def make_worker(model):
-        def worker(seed):
-            data = sample_mixed_regression(model, n, seed)
-            fit = fit_mixed_regression(data, model.k, model.sigma,
-                                       x0=model.x0, a=model.a, b=model.b)
-            return data, fit, evaluate_regression_fit(fit, model)
-        return worker
+    def worker(model, seed):
+        data = sample_mixed_regression(model, n, seed)
+        fit = fit_mixed_regression(data, model.k, model.sigma,
+                                   x0=model.x0, a=model.a, b=model.b)
+        report = evaluate_regression_fit(fit, model)
+        return data, fit, {
+            "seed": seed,
+            "sorted_label_error": report["m_mean_abs_max"],
+            "global_best_perm_error": report["best_perm_m_mean_abs_max"],
+            "pointwise_pairing_error": report["pointwise_pairing_m_mean"],
+        }
 
-    seed_tasks = [(seed,) for seed in seeds]
-    equal_runs = _run_tasks(seed_tasks, make_worker(equal), threads)
-    contrast_runs = _run_tasks(seed_tasks, make_worker(contrast), threads)
-
-    def seed_rows(runs):
-        rows = []
-        for seed, (_, _, report) in zip(seeds, runs):
-            rows.append({
-                "seed": seed,
-                "sorted_label_error": report["m_mean_abs_max"],
-                "global_best_perm_error":
-                    report["best_perm_m_mean_abs_max"],
-                "pointwise_pairing_error":
-                    report["pointwise_pairing_m_mean"],
-            })
-        return rows
+    runs = _run_tasks([(model, seed) for model in (equal, contrast)
+                       for seed in seeds], worker, threads)
+    rows = [row for _, _, row in runs]
+    equal_rows, contrast_rows = rows[:len(seeds)], rows[len(seeds):]
 
     def medians(rows):
         return {key: float(np.median([r[key] for r in rows]))
                 for key in rows[0] if key != "seed"}
 
-    equal_rows = seed_rows(equal_runs)
-    contrast_rows = seed_rows(contrast_runs)
+    eq, ct = medians(equal_rows), medians(contrast_rows)
     flip_count = sum(r["sorted_label_error"] > 0.5 for r in equal_rows)
 
     # The blend pair: swap the labels smoothly between two adjacent
     # sample points; no sample lands inside, so the observable law of
     # (X, Y) is exactly the same for both curve systems. Placed near
     # x = 0.5 where the curves are far apart, so the swap is visible.
-    data0 = equal_runs[0][0]
+    data0, fit0, _ = runs[0]
     xs = np.sort(np.asarray(data0.x))
     mids = 0.5 * (xs[:-1] + xs[1:])
     candidates = np.argsort(np.abs(mids - 0.5), kind="stable")
@@ -784,7 +775,7 @@ def _demo_equal_weights(out: str, n: int, seeds, threads: int) -> None:
 
     first_fit_csv = os.path.join(
         out, f"demo_equal_weights_fit_seed{seeds[0]}.csv")
-    _write_regression_plot(first_fit_csv, equal_runs[0][1], equal)
+    _write_regression_plot(first_fit_csv, fit0, equal)
 
     report = {
         "variant": "equal_weights_regression",
@@ -793,13 +784,13 @@ def _demo_equal_weights(out: str, n: int, seeds, threads: int) -> None:
         "equal_weights": {
             "lambdas": list(equal.lambdas),
             "per_seed": equal_rows,
-            "medians": medians(equal_rows),
+            "medians": eq,
             "seeds_with_sorted_error_above_0.5": flip_count,
         },
         "contrast_weights": {
             "lambdas": list(contrast.lambdas),
             "per_seed": contrast_rows,
-            "medians": medians(contrast_rows),
+            "medians": ct,
         },
         "label_switch_pair": {
             "u": u,
@@ -812,7 +803,6 @@ def _demo_equal_weights(out: str, n: int, seeds, threads: int) -> None:
     _atomic_write_json(
         os.path.join(out, "demo_equal_weights_regression.json"), report)
 
-    eq, ct = medians(equal_rows), medians(contrast_rows)
     print(f"equal weights: sorted-label error median "
           f"{eq['sorted_label_error']:.4g}, "
           f"above 0.5 in {flip_count}/{len(seeds)} seeds")
@@ -857,52 +847,32 @@ def _demo_near_nonregular(out: str, n: int, seeds,
     def worker(xi, seed):
         samples = sample_vanilla_mixture(models[xi], n, seed)
         record = {"xi": xi, "seed": seed}
-        try:
+        with _recording(record):
             fit = fit_vanilla_mixture(samples, 2, models[xi].sigma)
-        except PipelineError as exc:
-            record.update(status="failed",
-                          error_type=type(exc).__name__,
-                          error=str(exc))
-            return record
-        record.update(status="ok",
-                      **_mixture_fit_metrics(fit, models[xi]))
-        record["fit"] = fit
+            record.update(fit=fit, **_mixture_fit_metrics(fit, models[xi]))
         return record
 
     tasks = [(xi, seed) for xi in xis for seed in seeds]
     records = _run_tasks(tasks, worker, threads)
     by_xi = {xi: [r for r in records if r["xi"] == xi] for xi in xis}
 
+    blocks, medians = {}, {}
     for xi in xis:
-        ok = next((r for r in by_xi[xi] if r["status"] == "ok"), None)
-        if ok is not None:
+        ok = [r for r in by_xi[xi] if r["status"] == "ok"]
+        if ok:
             tag = repr(xi).replace(".", "p")
             _write_mixture_plot(
                 os.path.join(out, f"demo_near_nonregular_density_"
                                   f"xi{tag}.csv"),
-                ok["fit"], models[xi])
-
-    blocks, medians = {}, {}
-    for xi in xis:
-        rows = []
-        for record in by_xi[xi]:
-            row = {"seed": record["seed"], "status": record["status"]}
-            if record["status"] == "ok":
-                row.update({name: record[name]
-                            for name in _MIXTURE_METRICS})
-            else:
-                row.update(error_type=record["error_type"],
-                           error=record["error"])
-            rows.append(row)
-        ok_rows = [r for r in rows if r["status"] == "ok"]
-        med = (float(np.median([r["f_l1_max"] for r in ok_rows]))
-               if ok_rows else None)
-        medians[xi] = med
+                ok[0]["fit"], models[xi])
+        medians[xi] = (float(np.median([r["f_l1_max"] for r in ok]))
+                       if ok else None)
         blocks[repr(xi)] = {
             "separation_warning": warned[xi],
-            "per_seed": rows,
-            "f_l1_max_median": med,
-            "n_failed": sum(r["status"] == "failed" for r in rows),
+            "per_seed": [{key: value for key, value in r.items()
+                          if key not in ("xi", "fit")} for r in by_xi[xi]],
+            "f_l1_max_median": medians[xi],
+            "n_failed": len(by_xi[xi]) - len(ok),
         }
 
     pair_deltas = []
@@ -1003,19 +973,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
+        if args.threads < 1:
+            raise ValueError("--threads must be at least 1")
         if args.command == "demo-nonident":
             out = args.out
             if not out:
                 raise ValueError("demo-nonident needs --out <dir>")
             os.makedirs(out, exist_ok=True)
-            if args.seeds is not None:
-                seeds = tuple(int(s) for s in args.seeds.split(","))
-            else:
-                seeds = tuple(range(10))
+            seeds = (_parse_seeds(args.seeds, "--seeds")
+                     if args.seeds is not None else tuple(range(10)))
             if args.n < 1:
                 raise ValueError("--n must be at least 1")
             return cmd_demo_nonident(args.variant, out, args.n, seeds,
@@ -1032,10 +999,7 @@ def main(argv=None) -> int:
         if args.command == "find-sep":
             return cmd_find_sep(spec, out, args.threads)
         return cmd_eval(spec, out, args.acceptance)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except PipelineError as exc:

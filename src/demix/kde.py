@@ -82,9 +82,16 @@ class BandwidthSchedule:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BandwidthSchedule":
-        if obj["kind"] == "fixed":
-            return cls.fixed(obj["value"])
-        return cls.power_law(obj.get("c", 1.0), obj.get("exponent", -0.25))
+        """Inverse of ``to_json_obj``; ``kind`` is required, and keys that
+        the rule does not read are rejected."""
+        kind = obj["kind"]
+        keys = {"fixed": {"kind", "value"},
+                "power_law": {"kind", "c", "exponent"}}.get(kind, {"kind"})
+        unknown = set(obj) - keys
+        if unknown:
+            raise ValueError(f"unknown {kind} bandwidth keys: "
+                             f"{sorted(unknown)}")
+        return cls(**obj)
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,8 @@ def find_separation_point(data: Dataset, k: int, window: float,
         raise ValueError("K must be at least 1")
     if window <= 0:
         raise ValueError("window must be positive")
+    if n_grid < 1:
+        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     a = float(data.x.min()) if a is None else float(a)
     b = float(data.x.max()) if b is None else float(b)
     if not a < b:
@@ -526,6 +528,8 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     n = len(data)
     if k < 1:
         raise ValueError("K must be at least 1")
+    if n_x_grid < 1:
+        raise ValueError(f"n_x_grid must be at least 1, got {n_x_grid}")
     if n < 50 * k:
         raise InsufficientDataError(
             f"need at least 50 K = {50 * k} samples, got {n}"

@@ -8,10 +8,15 @@ without subprocess overhead.
 import json
 import math
 import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import demix.cli as cli
 from demix.cli import main
 from demix.measures import DiscreteMeasure, GridSpec
 from demix.mixfit import estimate_components
@@ -121,6 +126,100 @@ def test_manual_denoise_flag_needs_both_numbers(tmp_path):
     assert main(["fit-regression", "--spec", spec, "--delta", "0.3"]) == 2
 
 
+# (id, changes to a valid regression spec, text the error must contain)
+REJECTED_SPECS = [
+    ("model_without_a",
+     {"model": {k: v for k, v in crossing_lines_obj().items() if k != "a"}},
+     "'a'"),
+    ("bandwidth_without_kind",
+     {"configs": {"bandwidth": {"c": 1.0}}}, "'kind'"),
+    ("bandwidth_unknown_key",
+     {"configs": {"bandwidth": {"kind": "power_law", "exponant": -0.3}}},
+     "exponant"),
+    ("bandwidth_unknown_kind",
+     {"configs": {"bandwidth": {"kind": "fixd", "value": 0.1}}}, "fixd"),
+    ("n_x_grid_fraction", {"configs": {"n_x_grid": 2.5}}, "n_x_grid"),
+    ("n_x_grid_zero", {"configs": {"n_x_grid": 0}}, "n_x_grid"),
+    ("window_zero", {"configs": {"window": 0}}, "window"),
+    ("window_text", {"configs": {"window": "0.1"}}, "window"),
+    ("seed_fraction", {"seeds": [0, 1.5]}, "seeds"),
+    ("seed_bool", {"seeds": [True]}, "seeds"),
+    ("seeds_as_text", {"seeds": "0,1"}, "seeds"),
+    ("mde_unknown_key", {"configs": {"mde": {"coarse": 31}}}, "coarse"),
+    ("projection_unknown_key", {"configs": {"projection": {"l": 30}}},
+     "projection"),
+    ("denoise_unknown_key", {"configs": {"denoise": {"theshold": 0.1}}},
+     "theshold"),
+    ("y_grid_unknown_key",
+     {"configs": {"projection": {"y_grid": {"lo": -3.0, "hi": 3.0,
+                                            "n": 512}}}}, "y_grid"),
+    ("mde_not_object", {"configs": {"mde": 31}}, "mde"),
+    ("projection_value_type", {"configs": {"projection": {"L": "30"}}},
+     "projection"),
+    ("configs_not_object", {"configs": [["x0", 1.0]]}, "configs"),
+    ("out_not_text", {"out": 5}, "out"),
+    ("n_infinite", {"n": [math.inf]}, "n must"),
+]
+
+
+@pytest.mark.parametrize("changes, named", [case[1:] for case in
+                                            REJECTED_SPECS],
+                         ids=[case[0] for case in REJECTED_SPECS])
+def test_malformed_spec_exits_2_naming_the_key(tmp_path, capsys, changes,
+                                               named):
+    obj = {"model": crossing_lines_obj(), "n": [400], "seeds": [0],
+           "configs": {"x0": 1.0}, **changes}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(obj))
+    for command in ("simulate", "fit-regression", "find-sep"):
+        code = main([command, "--spec", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2, f"{command} returned {code}"
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seeds", "1,1"],
+    ["simulate", "--seeds", "0,2,0"],
+    ["demo-nonident", "equal_weights_regression", "--n", "200",
+     "--seeds", "3,3"],
+    ["demo-nonident", "near_nonregular_mixture", "--n", "200",
+     "--seeds", "0,0"],
+])
+def test_repeated_seed_flag_exits_2(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(), [30],
+                      [0])
+    assert main(argv + ["--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2, 12),
+                          st.sampled_from([1.5, 2.0, True])),
+                max_size=5))
+def test_seed_list_rule_is_shared_by_spec_and_flag(seeds):
+    valid = (len(seeds) > 0
+             and all(type(s) is int and s >= 0 for s in seeds)
+             and len(set(seeds)) == len(seeds))
+    with tempfile.TemporaryDirectory() as root:
+        in_spec = write_spec(os.path.join(root, "a.json"),
+                             crossing_lines_obj(), [20], seeds)
+        base = write_spec(os.path.join(root, "b.json"),
+                          crossing_lines_obj(), [20], [0])
+        out_a, out_b = os.path.join(root, "a"), os.path.join(root, "b")
+        code_a = main(["simulate", "--spec", in_spec, "--out", out_a])
+        code_b = main(["simulate", "--spec", base, "--out", out_b,
+                       "--seeds=" + ",".join(str(s) for s in seeds)])
+        assert code_a == code_b == (0 if valid else 2)
+        if valid:
+            assert (read_json(os.path.join(out_a, "manifest.json"))
+                    == read_json(os.path.join(out_b, "manifest.json")))
+            assert read_json(os.path.join(out_a, "manifest.json"))[
+                "seeds"] == seeds
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -227,6 +326,45 @@ def test_fit_artifacts_do_not_depend_on_threads(tmp_path):
                          if path.name.startswith(("fit_", "plot_"))}
     assert len(runs["1"]) == 6
     assert runs["1"] == runs["2"]
+
+
+@pytest.mark.parametrize("command, model_obj, n, prefixes", [
+    ("find-sep", crossing_lines_obj(), 400, ("sep_",)),
+    ("fit-mixture", box_mixture_obj(), 800, ("fit_", "plot_")),
+])
+def test_artifacts_do_not_depend_on_threads(tmp_path, command, model_obj,
+                                            n, prefixes):
+    spec = write_spec(tmp_path / "exp.json", model_obj, [n], [0, 1, 2])
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["simulate", "--spec", spec, "--out", str(out)]) == 0
+        assert main([command, "--spec", spec, "--out", str(out),
+                     "--threads", threads]) == 0
+        runs[threads] = {path.name: path.read_bytes()
+                         for path in sorted(out.iterdir())
+                         if path.name.startswith(prefixes)}
+    assert len(runs["1"]) == 3 * len(prefixes)
+    assert runs["1"] == runs["2"]
+
+
+def test_missing_datasets_name_the_first_seed_in_task_order(
+        tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "out")
+    spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(),
+                      [100], [3, 5], out=out)
+    os.makedirs(out)
+    load = cli._load_dataset
+
+    def slow_first_seed(out_dir, n, seed, kind):
+        if seed == 3:
+            time.sleep(0.3)  # so the later seed fails first
+        return load(out_dir, n, seed, kind)
+
+    monkeypatch.setattr(cli, "_load_dataset", slow_first_seed)
+    assert main(["fit-regression", "--spec", spec, "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "seed=3" in err and "seed=5" not in err
 
 
 def test_fit_regression_rejects_projection_y_grid(tmp_path, capsys):

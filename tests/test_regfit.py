@@ -351,6 +351,12 @@ def test_find_separation_insufficient_data():
         find_separation_point(data, 2, window=1e-6)
 
 
+def test_find_separation_rejects_empty_grid():
+    data = alternating_dataset(400)
+    with pytest.raises(ValueError, match="n_grid"):
+        find_separation_point(data, 2, window=0.2, n_grid=0)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end regression fitting
 # ---------------------------------------------------------------------------
@@ -407,6 +413,13 @@ def test_fit_rejects_projection_y_grid():
     cfg = ProjectionConfig(y_grid=GridSpec(-3.0, 3.0, 512))
     with pytest.raises(ValueError, match="y_grid"):
         fit_mixed_regression(data, 2, 0.2, x0=1.0, proj_cfg=cfg)
+
+
+def test_fit_rejects_empty_x_grid():
+    model = crossing_lines_model()
+    data = sample_mixed_regression(model, 400, seed=0)
+    with pytest.raises(ValueError, match="n_x_grid"):
+        fit_mixed_regression(data, 2, 0.2, x0=1.0, n_x_grid=0)
 
 
 def test_fit_finds_x0_when_omitted():
