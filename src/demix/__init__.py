@@ -27,7 +27,6 @@ from .measures import (
     density_mean,
     l1_distance,
     wasserstein1,
-    wasserstein1_lp_oracle,
 )
 from .synth import (
     CovariateSpec,
@@ -67,7 +66,6 @@ from .regfit import (
     find_separation_point,
     fit_mixed_regression,
     mde_at_x,
-    mde_general_at_x,
 )
 from .errors import (
     DegenerateComponentError,
@@ -119,7 +117,6 @@ __all__ = [
     "fit_vanilla_mixture",
     "l1_distance",
     "mde_at_x",
-    "mde_general_at_x",
     "outlier_mass",
     "project_to_gaussian_mixture",
     "sample_mixed_regression",
@@ -130,5 +127,4 @@ __all__ = [
     "univariate_kde",
     "voronoi_extend",
     "wasserstein1",
-    "wasserstein1_lp_oracle",
 ]

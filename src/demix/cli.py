@@ -148,6 +148,18 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
+def _optional_number(value, name: str, positive: bool = False):
+    """``value`` if it is None or a finite number, positive if asked."""
+    low = 0 if positive else -math.inf
+    # JSON numbers parse to exactly int or float; bool is excluded.
+    if value is not None and not (type(value) in (int, float)
+                                  and low < value < math.inf):
+        raise ValueError(f"{name} must be a "
+                         f"{'positive' if positive else 'finite'} number, "
+                         f"got {value!r}")
+    return value
+
+
 def _parse_seeds(raw, name: str) -> tuple:
     """Seeds from a spec's JSON list or a flag's comma-separated text: at
     least one, all distinct nonnegative integers."""
@@ -172,9 +184,6 @@ def _parse_config(cls, obj, name: str):
     unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    if "y_grid" in obj:
-        obj = {**obj, "y_grid": _parse_config(GridSpec, obj["y_grid"],
-                                              f"{name}.y_grid")}
     try:
         return cls(**obj)
     except TypeError as exc:  # a value of the wrong type
@@ -222,6 +231,9 @@ class ExperimentSpec:
         n_values = [_positive_int(v, "n") for v in raw_n]
         if not n_values:
             raise ValueError("spec needs at least one sample size in 'n'")
+        if len(set(n_values)) != len(n_values):
+            raise ValueError(f"n must hold distinct sample sizes, "
+                             f"got {raw_n!r}")
 
         seeds = obj.get("seeds")
         if not isinstance(seeds, list):
@@ -243,11 +255,9 @@ class ExperimentSpec:
         if "n_x_grid" in configs:
             settings["n_x_grid"] = _positive_int(configs["n_x_grid"],
                                                  "n_x_grid")
-        window = configs.get("window")
-        if window is not None and not (type(window) in (int, float)
-                                       and 0 < window < math.inf):
-            raise ValueError(f"window must be a positive number, "
-                             f"got {window!r}")
+        x0 = _optional_number(configs.get("x0"), "x0")
+        window = _optional_number(configs.get("window"), "window",
+                                  positive=True)
         out = obj.get("out")
         if out is not None and not isinstance(out, str):
             raise ValueError(f"out must be a path string, got {out!r}")
@@ -258,7 +268,7 @@ class ExperimentSpec:
             seeds=_parse_seeds(seeds, "seeds"),
             k=model.k,
             sigma=model.sigma,
-            x0=configs.get("x0"),
+            x0=x0,
             window=window,
             out=out,
             **settings,
@@ -276,7 +286,7 @@ def _apply_overrides(spec: ExperimentSpec,
             raise ValueError("--K must be at least 1")
         updates["k"] = args.K
     if args.sigma is not None:
-        if args.sigma <= 0:
+        if not 0 < args.sigma < math.inf:
             raise ValueError("--sigma must be positive")
         updates["sigma"] = args.sigma
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindowError
-from .measures import GridDensity, GridSpec, _sorted_box_mixture_density
+from .measures import (GridDensity, GridSpec, _sorted_box_mixture_density,
+                       require_positive_finite)
 from .synth import Dataset
 
 
@@ -46,16 +47,14 @@ class BandwidthSchedule:
 
     def __post_init__(self):
         if self.kind == "power_law":
-            if self.c <= 0:
-                raise ValueError("power_law bandwidth needs c > 0")
+            require_positive_finite(self.c, "power_law bandwidth c")
             if not -0.5 < self.exponent < 0.0:
                 raise ValueError(
                     "power_law exponent must lie in (-0.5, 0): "
                     "h must shrink while n*h^2 grows"
                 )
         elif self.kind == "fixed":
-            if self.value <= 0:
-                raise ValueError("fixed bandwidth must be positive")
+            require_positive_finite(self.value, "fixed bandwidth value")
         else:
             raise ValueError(f"unknown bandwidth rule {self.kind!r}")
 
@@ -171,8 +170,7 @@ def conditional_density_at(kde: ConditionalKde, x: float,
             f"no samples with |X - {x:g}| <= {kde.h:.6g}; "
             "widen the bandwidth or move the query point"
         )
-    weights = np.full(ys.size, 1.0 / ys.size)
-    return _sorted_box_mixture_density(np.sort(ys), weights, kde.h, grid)
+    return univariate_kde(ys, kde.h, grid)
 
 
 def univariate_kde(samples, h: float, grid: GridSpec) -> GridDensity:
@@ -182,7 +180,6 @@ def univariate_kde(samples, h: float, grid: GridSpec) -> GridDensity:
         raise ValueError("samples must be a nonempty vector")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
+    require_positive_finite(h, "bandwidth")
     weights = np.full(samples.size, 1.0 / samples.size)
     return _sorted_box_mixture_density(np.sort(samples), weights, h, grid)

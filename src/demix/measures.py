@@ -11,13 +11,13 @@ Value types
 Operations
 ----------
 - ``wasserstein1``: exact 1-Wasserstein distance between discrete measures.
-- ``wasserstein1_lp_oracle``: the same distance via the transport linear
-  program, kept as an independent cross-check.
 - ``l1_distance``: trapezoid L1 distance between densities on a shared grid.
 - ``convolve_gaussian``: Gaussian blur of a discrete measure.
 - ``density_mean``: first moment of a grid density.
 - ``box_mixture_density``: exact grid representation of a mixture of
   uniform boxes (shared by the kernel and smoothing estimators).
+- ``trapezoid_weights``: quadrature weights of a uniform grid.
+- ``widest_gap_bounds``: groups of ordered items split at the widest gaps.
 
 All types are immutable after construction and all operations are pure, so
 values may be shared freely across threads.
@@ -38,8 +38,6 @@ from .errors import ProjectionError
 WEIGHT_TOL = 1e-12
 GRID_NORM_TOL = 1e-3
 
-_LP_ORACLE_MAX_ATOMS = 12
-
 
 def _as_finite_1d(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -50,6 +48,12 @@ def _as_finite_1d(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def require_positive_finite(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless 0 < value < inf."""
+    if not 0 < value < math.inf:  # NaN fails every comparison
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -152,10 +156,7 @@ class GridDensity:
         return GridSpec(self._lo, self._hi, self.n_points)
 
     def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.n_points, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return trapezoid_weights(self.n_points, self.spacing)
 
     def integral(self) -> float:
         return float(np.trapezoid(self._values, dx=self.spacing))
@@ -170,11 +171,9 @@ class GridDensity:
         )
 
     @classmethod
-    def from_json(cls, text: str, *, normalized=False,
-                  norm_tol=GRID_NORM_TOL) -> "GridDensity":
+    def from_json(cls, text: str, *, normalized=False) -> "GridDensity":
         obj = json.loads(text)
-        return cls(obj["lo"], obj["hi"], obj["values"],
-                   normalized=normalized, norm_tol=norm_tol)
+        return cls(obj["lo"], obj["hi"], obj["values"], normalized=normalized)
 
     def __repr__(self):
         return (f"GridDensity(lo={self._lo:g}, hi={self._hi:g}, "
@@ -328,38 +327,12 @@ class IntervalSet:
     def __len__(self):
         return len(self._intervals)
 
-    def contains(self, x: float) -> bool:
-        return any(lo <= x <= hi for lo, hi in self._intervals)
-
-    def distance_to(self, x) -> np.ndarray:
-        """Pointwise distance from ``x`` to the union of intervals."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        dist = np.full(x.shape, np.inf)
-        for lo, hi in self._intervals:
-            gap = np.maximum.reduce([lo - x, x - hi, np.zeros_like(x)])
-            dist = np.minimum(dist, gap)
-        return dist
-
     def to_json(self) -> str:
         return json.dumps({"intervals": [list(p) for p in self._intervals]})
 
     @classmethod
     def from_json(cls, text: str) -> "IntervalSet":
         return cls(json.loads(text)["intervals"])
-
-    @classmethod
-    def merged(cls, interval_sets) -> "IntervalSet":
-        """Union of several interval sets, overlapping pieces fused."""
-        pieces = sorted(
-            (p for s in interval_sets for p in s.intervals), key=lambda p: p[0]
-        )
-        fused: list[list[float]] = []
-        for lo, hi in pieces:
-            if fused and lo <= fused[-1][1]:
-                fused[-1][1] = max(fused[-1][1], hi)
-            else:
-                fused.append([lo, hi])
-        return cls(fused)
 
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):
@@ -401,32 +374,20 @@ def wasserstein1(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     return float(np.sum(np.abs(cdf_gap) * np.diff(locs)))
 
 
-def wasserstein1_lp_oracle(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    """1-Wasserstein distance via the transport linear program.
+def trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
+    """Trapezoid-rule weights of ``n_points`` values ``spacing`` apart."""
+    w = np.full(n_points, spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
-    Independent cross-check for :func:`wasserstein1`; limited to small inputs
-    because the LP has ``n_a * n_b`` variables.
-    """
-    a = _require_normalized(a, "a")
-    b = _require_normalized(b, "b")
-    if a.n_atoms > _LP_ORACLE_MAX_ATOMS or b.n_atoms > _LP_ORACLE_MAX_ATOMS:
-        raise ValueError(
-            f"oracle accepts at most {_LP_ORACLE_MAX_ATOMS} atoms per measure"
-        )
-    na, nb = a.n_atoms, b.n_atoms
-    cost = np.abs(a.locations[:, None] - b.locations[None, :]).ravel()
-    # Row sums reproduce a's weights, column sums b's weights.
-    rows = np.zeros((na, na * nb))
-    for i in range(na):
-        rows[i, i * nb:(i + 1) * nb] = 1.0
-    cols = np.tile(np.eye(nb), (1, na))
-    a_eq = np.vstack([rows, cols])
-    b_eq = np.concatenate([a.weights, b.weights])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+
+def widest_gap_bounds(gaps, k: int) -> list:
+    """Bounds ``[0, ..., len(gaps) + 1]`` of the ``k`` groups that cutting
+    the ``k - 1`` widest ``gaps`` between ordered items leaves; equal gaps
+    are cut left to right."""
+    cut = np.sort(np.argsort(-gaps, kind="stable")[:k - 1])
+    return [0, *(c + 1 for c in cut), len(gaps) + 1]
 
 
 def l1_distance(a: GridDensity, b: GridDensity) -> float:
@@ -439,8 +400,7 @@ def l1_distance(a: GridDensity, b: GridDensity) -> float:
 def gaussian_blur_values(locations, weights, sigma: float,
                          points) -> np.ndarray:
     """Evaluate sum_i w_i * phi_sigma(points - a_i) at arbitrary points."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_positive_finite(sigma, "sigma")
     locations = np.asarray(locations, dtype=float)
     weights = np.asarray(weights, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -502,8 +462,7 @@ def box_mixture_density(locations, weights, half_width: float,
     grid points whose cell contains no box edge the average coincides with
     the pointwise density.
     """
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
+    require_positive_finite(half_width, "half_width")
     locs = _as_finite_1d(locations, "locations")
     wts = _as_finite_1d(weights, "weights")
     if locs.size != wts.size:
@@ -533,9 +492,7 @@ def _sorted_box_mixture_density(locs, wts, half_width: float,
     bounds[1:-1] = 0.5 * (points[:-1] + points[1:])
     cdf = _box_mixture_cdf(bounds, locs, cum_w, cum_wa, half_width)
     masses = np.diff(cdf)
-    quad = np.full(grid.n_points, grid.spacing)
-    quad[0] *= 0.5
-    quad[-1] *= 0.5
+    quad = trapezoid_weights(grid.n_points, grid.spacing)
     values = np.maximum(masses / quad, 0.0)
     total = float(wts.sum())
     covered = (abs(total - 1.0) <= WEIGHT_TOL
@@ -552,11 +509,12 @@ def _sorted_box_mixture_density(locs, wts, half_width: float,
 # sparse matrix gives HiGHS the same model without building, copying and
 # discarding them; the Gaussian design is mostly such entries.
 HIGHS_SMALL_MATRIX_VALUE = 1e-9
+# Primal and dual feasibility tolerance of the projection LP.
+LP_FEASIBILITY_TOL = 1e-8
 
 
 def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
-                   quad_weights: np.ndarray, tol: float = 1e-8,
-                   maxiter: int = 5000):
+                   quad_weights: np.ndarray, maxiter: int = 5000):
     """Minimize ||design @ w - target||_{1,quad} over the simplex.
 
     Returns ``(w, objective, optimal)``.  The absolute residuals are lifted
@@ -581,8 +539,8 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
                   bounds=(0, None), method="highs",
                   options={"maxiter": int(maxiter),
-                           "primal_feasibility_tolerance": float(tol),
-                           "dual_feasibility_tolerance": float(tol)})
+                           "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
+                           "dual_feasibility_tolerance": LP_FEASIBILITY_TOL})
     if res.x is None:
         raise ProjectionError(
             f"HiGHS returned no solution (status {res.status}: "

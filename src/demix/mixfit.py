@@ -42,12 +42,15 @@ from .measures import (
     convolve_gaussian,
     density_mean,
     gaussian_blur_values,
+    require_positive_finite,
     weighted_l1_lp,
+    widest_gap_bounds,
 )
 
 ATOM_PRUNE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
 MAX_THRESHOLD_RETRIES = 5
+RESPONSE_GRID_POINTS = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -61,25 +64,19 @@ class ProjectionConfig:
     ``L`` and ``M`` default to None and are resolved by the fitting
     pipeline: L = ceil(sqrt(n)) atoms, M = 1.1 times the largest absolute
     response, so the atom grid [-M, M] strictly contains the data hull.
-    ``y_grid`` defaults to 2048 points over the data range widened by 6
-    sigma (or the bandwidth, if larger).  It applies to vanilla fits only:
-    ``fit_mixed_regression`` builds its own response grid and rejects a
-    set ``y_grid``.
+    ``max_iters`` caps the HiGHS iterations; the feasibility tolerance is
+    fixed at ``measures.LP_FEASIBILITY_TOL``.
     """
 
     L: int | None = None
     M: float | None = None
-    y_grid: GridSpec | None = None
-    solver_tol: float = 1e-8
     max_iters: int = 5000
 
     def __post_init__(self):
         if self.L is not None and self.L < 1:
             raise ValueError("L must be at least 1")
-        if self.M is not None and self.M <= 0:
-            raise ValueError("M must be positive")
-        if self.solver_tol <= 0:
-            raise ValueError("solver_tol must be positive")
+        if self.M is not None:
+            require_positive_finite(self.M, "M")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -109,8 +106,8 @@ class DenoiseConfig:
                 raise ValueError("manual schedule needs delta and t")
         for name in ("delta", "t"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
+            if v is not None:
+                require_positive_finite(v, name)
 
     @classmethod
     def manual(cls, delta: float, t: float) -> "DenoiseConfig":
@@ -214,8 +211,7 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
     converged; one that ends without any solution (scipy gives none when
     HiGHS stops on ``max_iters``) raises ``ProjectionError``.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_positive_finite(sigma, "sigma")
     if not p_hat.normalized:
         raise ValueError("p_hat must be flagged normalized")
     if cfg.L is None or cfg.M is None:
@@ -231,7 +227,7 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
         )
     w, objective, optimal = weighted_l1_lp(
         design, p_hat.values, p_hat.trapezoid_weights(),
-        tol=cfg.solver_tol, maxiter=cfg.max_iters,
+        maxiter=cfg.max_iters,
     )
     keep = w > ATOM_PRUNE_TOL
     if not np.any(keep):
@@ -247,8 +243,7 @@ def smooth(g: DiscreteMeasure, delta: float, eval_grid: GridSpec
     Values are exact cell averages, so captured mass integrates exactly;
     the grid must resolve the box (spacing at most delta / 4).
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    require_positive_finite(delta, "delta")
     if eval_grid.spacing > delta / 4.0 + 1e-15:
         raise ValueError(
             f"grid spacing {eval_grid.spacing:.6g} too coarse for "
@@ -265,8 +260,7 @@ def threshold_partition(g_smooth: GridDensity, t: float,
     cells; single-linkage clustering then cuts the K - 1 widest gaps
     between consecutive intervals (leftmost first on exact ties).
     """
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    require_positive_finite(t, "threshold")
     if k < 1:
         raise ValueError("K must be at least 1")
     above = g_smooth.values > t
@@ -287,13 +281,9 @@ def threshold_partition(g_smooth: GridDensity, t: float,
             f"level set has {len(intervals)} maximal intervals, "
             f"need at least {k}"
         )
-    if k == 1:
-        return [IntervalSet(intervals)]
     gaps = np.array([intervals[i + 1][0] - intervals[i][1]
                      for i in range(len(intervals) - 1)])
-    # Stable sort on -gap: equal gaps cut left to right.
-    cut = np.sort(np.argsort(-gaps, kind="stable")[:k - 1])
-    bounds = [0, *(c + 1 for c in cut), len(intervals)]
+    bounds = widest_gap_bounds(gaps, k)
     return [IntervalSet(intervals[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -326,8 +316,7 @@ def estimate_components(g: DiscreteMeasure, cells, sigma: float,
     conditional atoms, shifted to mean zero, are re-convolved with the
     Gaussian on the requested grid to give the centered density.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_positive_finite(sigma, "sigma")
     cells = [(float(lo), float(hi)) for lo, hi in cells]
     if not cells:
         raise ValueError("need at least one cell")
@@ -381,6 +370,7 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
     """
     if k < 1:
         raise ValueError("K must be at least 1")
+    require_positive_finite(sigma, "sigma")
     cfg = cfg or ProjectionConfig()
     denoise = denoise or DenoiseConfig()
     grid = p_hat.spec()
@@ -455,15 +445,13 @@ def fit_vanilla_mixture(samples, k: int, sigma: float,
         raise InsufficientDataError(
             f"need at least 10 K = {10 * k} samples, got {n}"
         )
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_positive_finite(sigma, "sigma")
     cfg = cfg or ProjectionConfig()
     bandwidth = bandwidth or BandwidthSchedule()
     h = bandwidth.bandwidth(n)
 
     y_lo, y_hi = float(samples.min()), float(samples.max())
-    pad = max(6.0 * sigma, h)
-    y_grid = cfg.y_grid or GridSpec(y_lo - pad, y_hi + pad, 2048)
+    y_grid = response_grid(y_lo, y_hi, sigma, h)
     if cfg.M is None:
         cfg = replace(cfg, M=1.1 * max(abs(y_lo), abs(y_hi)))
     p_hat = univariate_kde(samples, h, y_grid)
@@ -473,14 +461,22 @@ def fit_vanilla_mixture(samples, k: int, sigma: float,
     return fit
 
 
+def response_grid(y_lo: float, y_hi: float, sigma: float,
+                  h: float) -> GridSpec:
+    """The fitters' response grid: ``RESPONSE_GRID_POINTS`` points over the
+    response range ``[y_lo, y_hi]`` widened by 6 sigma or the bandwidth,
+    whichever is larger."""
+    pad = max(6.0 * sigma, h)
+    return GridSpec(y_lo - pad, y_hi + pad, RESPONSE_GRID_POINTS)
+
+
 def outlier_mass(g: DiscreteMeasure, support_pairs, eta: float) -> float:
     """Mass of atoms farther than ``eta`` from a union of intervals.
 
     ``support_pairs`` are (lo, hi) with lo == hi allowed for points, so
     true mixing supports of every kind can be passed directly.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    require_positive_finite(eta, "eta")
     pairs = [(float(lo), float(hi)) for lo, hi in support_pairs]
     if not pairs or any(hi < lo for lo, hi in pairs):
         raise ValueError("support must be nonempty intervals with lo <= hi")

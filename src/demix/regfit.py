@@ -33,18 +33,23 @@ import numpy as np
 
 from .errors import EmptyWindowError, InsufficientDataError
 from .kde import BandwidthSchedule, BoundaryWarning, ConditionalKde
-from .measures import GridDensity, GridSpec, l1_distance
+from .measures import (GridDensity, GridSpec, l1_distance,
+                       require_positive_finite, trapezoid_weights,
+                       widest_gap_bounds)
 from .mixfit import (
     DenoiseConfig,
     MixtureFit,
     ProjectionConfig,
     fit_mixture_from_density,
+    response_grid,
 )
 from .synth import Dataset, MixedRegressionModel
 
 MAX_GRID_AXES = 3
 X_GRID_POINTS = 101
 SEP_MIN_WINDOW_FACTOR = 5
+# Each refinement level shrinks the search box around the incumbent by this.
+MDE_SHRINK = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +63,9 @@ class MdeConfig:
     The box bound ``B`` defaults to 1.1 times the largest absolute
     response when resolved by the fitting pipeline.  The solver sweeps a
     coarse grid of ``coarse_grid`` points per axis over [-B, B]^K, then
-    runs ``refine_levels`` passes that shrink the box by 0.2 around the
-    incumbent.  Full grid enumeration covers K <= 3 and returns the
+    runs ``refine_levels`` passes that shrink the box by the constant
+    ``MDE_SHRINK`` (0.2) around the incumbent.  Full grid enumeration
+    covers K <= 3 and returns the
     lexicographically smallest minimizer of the sampled grid; higher K
     requires ``mode="coordinate"``, a greedy axis-at-a-time search whose
     first level sweeps the full box on every axis.  Coordinate mode is a
@@ -69,24 +75,21 @@ class MdeConfig:
     B: float | None = None
     coarse_grid: int = 61
     refine_levels: int = 3
-    shrink: float = 0.2
     mode: str = "grid"
 
     def __post_init__(self):
-        if self.B is not None and self.B <= 0:
-            raise ValueError("B must be positive")
+        if self.B is not None:
+            require_positive_finite(self.B, "B")
         if self.coarse_grid < 3:
             raise ValueError("coarse_grid must be at least 3")
         if self.refine_levels < 0:
             raise ValueError("refine_levels must be nonnegative")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
         if self.mode not in ("grid", "coordinate"):
             raise ValueError(f"unknown mde mode {self.mode!r}")
 
     def resolution(self) -> float:
         """Final per-axis grid spacing as a fraction of B."""
-        half = self.shrink ** self.refine_levels
+        half = MDE_SHRINK ** self.refine_levels
         return 2.0 * half / (self.coarse_grid - 1)
 
 
@@ -234,9 +237,7 @@ class MdeContext:
             grid.points(),
             grid.hi + spacing * np.arange(1, self.pad + 1),
         ])
-        self.quad = np.full(self.pts.size, spacing)
-        self.quad[0] *= 0.5
-        self.quad[-1] *= 0.5
+        self.quad = trapezoid_weights(self.pts.size, spacing)
         axis = _axis_candidates(0.0, cfg.B, cfg.B, cfg.coarse_grid)
         self.axes0 = [axis] * k
         self.banks0 = [_shift_bank(self.pts, f, lam, axis)
@@ -364,7 +365,7 @@ def _minimize_l1(p_hat: GridDensity, ctx: MdeContext):
             elif theta is None:
                 best_obj = cand_obj
                 theta = cand_theta
-            half *= cfg.shrink
+            half *= MDE_SHRINK
         return tuple(float(v) for v in theta), float(best_obj)
 
     # Coordinate descent: full-box sweeps first so every axis sees the
@@ -377,31 +378,26 @@ def _minimize_l1(p_hat: GridDensity, ctx: MdeContext):
             axes = level_axes(level, theta, half)
             theta, best_obj = _sweep_coordinate(ctx, target, ctx.banks(axes),
                                                 axes, theta)
-        half *= cfg.shrink
+        half *= MDE_SHRINK
     return tuple(float(v) for v in theta), float(best_obj)
 
 
-def mde_at_x(p_hat_x: GridDensity, lambdas, f_hat: GridDensity,
-             cfg: MdeConfig, *, context: MdeContext | None = None):
-    """Regression values at one x under the common-error-density model.
+def mde_at_x(p_hat_x: GridDensity, lambdas, f_hats, cfg: MdeConfig, *,
+             context: MdeContext | None = None):
+    """Regression values at one x by minimum distance.
 
-    Minimizes ``||sum_k lambda_k f_hat(. - theta_k) - p_hat_x||_1`` over
-    the box; exact ties go to the lexicographically smallest theta.
+    Minimizes ``||sum_k lambda_k f_k(. - theta_k) - p_hat_x||_1`` over the
+    box; exact ties go to the lexicographically smallest theta.  ``f_hats``
+    holds one density per component, or is one density all share.
     ``context`` carries what solves on one grid with the same weights,
-    density and settings share; the result is the same with or without.
+    densities and settings share; the result is the same with or without.
     """
-    f_hats = [f_hat] * len(tuple(lambdas))
+    if isinstance(f_hats, GridDensity):
+        f_hats = [f_hats] * len(tuple(lambdas))
     if context is None:
-        context = MdeContext(p_hat_x.spec(), lambdas, f_hats, cfg)
+        context = MdeContext(p_hat_x.spec(), lambdas, list(f_hats), cfg)
     else:
         context.check_serves(p_hat_x, lambdas, f_hats, cfg)
-    return _minimize_l1(p_hat_x, context)
-
-
-def mde_general_at_x(p_hat_x: GridDensity, lambdas, f_hats,
-                     cfg: MdeConfig):
-    """Per-component-density variant of the minimum-distance step."""
-    context = MdeContext(p_hat_x.spec(), lambdas, list(f_hats), cfg)
     return _minimize_l1(p_hat_x, context)
 
 
@@ -423,8 +419,7 @@ def find_separation_point(data: Dataset, k: int, window: float,
     """
     if k < 1:
         raise ValueError("K must be at least 1")
-    if window <= 0:
-        raise ValueError("window must be positive")
+    require_positive_finite(window, "window")
     if n_grid < 1:
         raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     a = float(data.x.min()) if a is None else float(a)
@@ -450,9 +445,7 @@ def find_separation_point(data: Dataset, k: int, window: float,
         if ys.size < min_count:
             profile.append((float(x), -math.inf))
             continue
-        gaps = np.diff(ys)
-        cuts = np.sort(np.argsort(-gaps, kind="stable")[:k - 1])
-        bounds = [0, *(c + 1 for c in cuts), ys.size]
+        bounds = widest_gap_bounds(np.diff(ys), k)
         centers, half_ranges = [], []
         for lo_i, hi_i in zip(bounds[:-1], bounds[1:]):
             chunk = ys[lo_i:hi_i]
@@ -534,13 +527,9 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
         raise InsufficientDataError(
             f"need at least 50 K = {50 * k} samples, got {n}"
         )
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if proj_cfg is not None and proj_cfg.y_grid is not None:
-        raise ValueError(
-            "ProjectionConfig.y_grid is not supported by "
-            "fit_mixed_regression, which builds its own 2048-point response "
-            "grid from the data; leave projection y_grid unset")
+    require_positive_finite(sigma, "sigma")
+    if x0 is not None and not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0!r}")
     bandwidth = bandwidth or BandwidthSchedule()
     kde = ConditionalKde(data, bandwidth, a=a, b=b)
     h = kde.h
@@ -549,9 +538,8 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
         x0, _ = find_separation_point(data, k, window=h, a=kde.a, b=kde.b)
 
     y_abs = float(np.abs(data.y).max())
-    pad = max(6.0 * sigma, h)
-    y_grid = GridSpec(float(data.y.min()) - pad,
-                      float(data.y.max()) + pad, 2048)
+    y_grid = response_grid(float(data.y.min()), float(data.y.max()), sigma,
+                           h)
 
     with warnings.catch_warnings():
         # Boundary x0 is legitimately clamped to x0 +- h.
@@ -652,12 +640,8 @@ def evaluate_regression_fit(fit: RegressionFit,
     m_l1 = np.trapezoid(diff, xs, axis=1)
     m_mean = diff.mean(axis=1)
 
-    f_errs = []
-    for f_hat in fit.mixture.f_hats:
-        spec = f_hat.spec()
-        vals = truth.g0.density_values(truth.sigma, spec.points())
-        truth_dens = GridDensity(spec.lo, spec.hi, vals, normalized=True)
-        f_errs.append(l1_distance(f_hat, truth_dens))
+    f_errs = [l1_distance(f_hat, truth.error_density(f_hat.spec()))
+              for f_hat in fit.mixture.f_hats]
 
     best_perm = None
     best_perm_mean = math.inf

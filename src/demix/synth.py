@@ -28,6 +28,7 @@ from .measures import (
     GridDensity,
     GridSpec,
     gaussian_blur_values,
+    require_positive_finite,
 )
 
 LAMBDA_SUM_TOL = 1e-9
@@ -312,8 +313,7 @@ class MixingSpec:
 
     def density_values(self, sigma: float, z) -> np.ndarray:
         """Gaussian-sigma blur of this distribution, at the points ``z``."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        require_positive_finite(sigma, "sigma")
         z = np.asarray(z, dtype=float)
         if self._atoms is not None:
             return gaussian_blur_values(
@@ -329,10 +329,7 @@ class MixingSpec:
 
     def error_density(self, sigma: float, grid: GridSpec) -> GridDensity:
         """The blurred density on a grid, flagged normalized when covered."""
-        values = self.density_values(sigma, grid.points())
-        lo, hi = self._support
-        covered = grid.covers(lo - 6 * sigma, hi + 6 * sigma)
-        return GridDensity(grid.lo, grid.hi, values, normalized=covered)
+        return _blurred_mixture(grid, sigma, [(1.0, 0.0, self)])
 
     def as_discrete(self, max_spacing: float = 1e-3) -> DiscreteMeasure:
         """Atom approximation, within ``max_spacing / 2`` in W1."""
@@ -395,8 +392,7 @@ class MixedRegressionModel:
         object.__setattr__(self, "m", tuple(self.m))
         if len(self.m) != len(self.lambdas):
             raise ValueError("need one regression curve per weight")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        require_positive_finite(self.sigma, "sigma")
         if not self.a <= self.x0 <= self.b:
             raise ValueError("x0 must lie in [a, b]")
         k = len(self.lambdas)
@@ -486,8 +482,7 @@ class VanillaMixtureModel:
         object.__setattr__(self, "gks", tuple(self.gks))
         if len({len(self.mus), len(self.gks), len(self.lambdas)}) != 1:
             raise ValueError("lambdas, mus, gks must have equal length")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        require_positive_finite(self.sigma, "sigma")
         k = self.k
         if k >= 2:
             supports = self.mixing_support()
@@ -522,15 +517,8 @@ class VanillaMixtureModel:
 
     def density(self, grid: GridSpec) -> GridDensity:
         """Full mixture density on a grid."""
-        y = grid.points()
-        values = np.zeros(grid.n_points)
-        covered = True
-        for lam, mu, g in zip(self.lambdas, self.mus, self.gks):
-            values += lam * g.density_values(self.sigma, y - mu)
-            lo, hi = g.support()
-            covered &= grid.covers(mu + lo - 6 * self.sigma,
-                                   mu + hi + 6 * self.sigma)
-        return GridDensity(grid.lo, grid.hi, values, normalized=covered)
+        return _blurred_mixture(grid, self.sigma,
+                                zip(self.lambdas, self.mus, self.gks))
 
     def mixing_measure(self, max_spacing: float = 1e-3) -> DiscreteMeasure:
         """Atom approximation of the full mixing measure."""
@@ -637,6 +625,20 @@ def load_samples_csv(path) -> np.ndarray:
 # samplers and density oracles
 # ---------------------------------------------------------------------------
 
+def _blurred_mixture(grid: GridSpec, sigma: float, parts) -> GridDensity:
+    """Sum of ``lam * g.density_values(sigma, y - c)`` over the parts
+    ``(lam, c, g)``, flagged normalized when the grid covers each part."""
+    y = grid.points()
+    values = np.zeros(grid.n_points)
+    covered = True
+    for lam, center, g in parts:
+        values += lam * g.density_values(sigma, y - center)
+        lo, hi = g.support()
+        covered &= grid.covers(center + lo - 6 * sigma,
+                               center + hi + 6 * sigma)
+    return GridDensity(grid.lo, grid.hi, values, normalized=covered)
+
+
 def sample_mixed_regression(model: MixedRegressionModel, n: int, seed: int,
                             model_id: str | None = None) -> Dataset:
     """Draw ``n`` pairs from the model, deterministically in ``seed``."""
@@ -675,13 +677,7 @@ def true_conditional_density(model: MixedRegressionModel, x: float,
     """Exact conditional response density at covariate ``x``."""
     if not model.a <= x <= model.b:
         raise ValueError(f"x={x:g} outside the domain [{model.a:g}, {model.b:g}]")
-    y = grid.points()
-    vals = model.curve_values(x)
-    values = np.zeros(grid.n_points)
-    lo, hi = model.g0.support()
-    covered = True
-    for lam, center in zip(model.lambdas, vals):
-        values += lam * model.g0.density_values(model.sigma, y - float(center))
-        covered &= grid.covers(float(center) + lo - 6 * model.sigma,
-                               float(center) + hi + 6 * model.sigma)
-    return GridDensity(grid.lo, grid.hi, values, normalized=covered)
+    centers = model.curve_values(x)
+    return _blurred_mixture(grid, model.sigma,
+                            [(lam, float(c), model.g0)
+                             for lam, c in zip(model.lambdas, centers)])

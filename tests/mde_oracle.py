@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from demix.regfit import MDE_SHRINK
+
 
 def extended_target(p_hat, b_bound):
     """Pad the target grid by B on both sides so shifts lose no mass."""
@@ -115,7 +117,7 @@ def minimize_l1(p_hat, lambdas, f_hats, cfg):
                 best_obj = cand_obj
                 theta = cand_theta
             centers = theta.copy()
-            half *= cfg.shrink
+            half *= MDE_SHRINK
         return tuple(float(v) for v in theta), float(best_obj)
 
     theta = np.zeros(k)
@@ -128,5 +130,5 @@ def minimize_l1(p_hat, lambdas, f_hats, cfg):
                     for j in range(k)]
             theta, best_obj = sweep_coordinate(
                 pts, target, quad, f_hats, lambdas, axes, theta)
-        half *= cfg.shrink
+        half *= MDE_SHRINK
     return tuple(float(v) for v in theta), float(best_obj)

@@ -19,14 +19,14 @@ import pytest
 from conftest import criterion_lines
 from demix.kde import BandwidthSchedule, univariate_kde
 from demix.measures import (DiscreteMeasure, GridDensity, GridSpec,
-                            l1_distance, wasserstein1,
-                            wasserstein1_lp_oracle)
+                            l1_distance, wasserstein1)
 from demix.mixfit import MixtureFit, fit_vanilla_mixture, outlier_mass
 from demix.regfit import (MdeConfig, evaluate_regression_fit,
                           fit_mixed_regression, mde_at_x)
 from demix.synth import (MixedRegressionModel, MixingSpec, RegressionCurve,
                          VanillaMixtureModel, sample_mixed_regression,
                          sample_vanilla_mixture)
+from measures_oracle import wasserstein1_lp_oracle
 
 pytestmark = pytest.mark.acceptance
 

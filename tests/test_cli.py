@@ -159,6 +159,12 @@ REJECTED_SPECS = [
     ("configs_not_object", {"configs": [["x0", 1.0]]}, "configs"),
     ("out_not_text", {"out": 5}, "out"),
     ("n_infinite", {"n": [math.inf]}, "n must"),
+    ("n_repeated", {"n": [400, 400]}, "n must"),
+    ("x0_text", {"configs": {"x0": "abc"}}, "x0"),
+    ("x0_bool", {"configs": {"x0": True}}, "x0"),
+    ("x0_nan", {"configs": {"x0": math.nan}}, "x0"),
+    ("mde_B_nan", {"configs": {"x0": 1.0, "mde": {"B": math.nan}}},
+     "B must"),
 ]
 
 
@@ -365,19 +371,6 @@ def test_missing_datasets_name_the_first_seed_in_task_order(
     assert main(["fit-regression", "--spec", spec, "--threads", "2"]) == 2
     err = capsys.readouterr().err
     assert "seed=3" in err and "seed=5" not in err
-
-
-def test_fit_regression_rejects_projection_y_grid(tmp_path, capsys):
-    out = str(tmp_path / "out")
-    spec = write_spec(
-        tmp_path / "exp.json", crossing_lines_obj(), [400], [0],
-        configs={"x0": 1.0, "n_x_grid": 9,
-                 "projection": {"y_grid": {"lo": -3.0, "hi": 3.0,
-                                           "n_points": 512}}},
-        out=out)
-    assert main(["simulate", "--spec", spec]) == 0
-    assert main(["fit-regression", "--spec", spec]) == 2
-    assert "y_grid" in capsys.readouterr().err
 
 
 def test_fit_mixture_artifacts(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the box-kernel density estimators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,11 @@ def test_conditional_integrates_to_one_on_covering_grid():
     est = conditional_density_at(kde, 0.5, grid)
     assert est.integral() == pytest.approx(1.0, abs=1e-9)
     assert est.normalized
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_bandwidth_constants_are_rejected(value):
+    with pytest.raises(ValueError, match="bandwidth c "):
+        BandwidthSchedule.power_law(c=value)
+    with pytest.raises(ValueError, match="bandwidth value "):
+        BandwidthSchedule.fixed(value)

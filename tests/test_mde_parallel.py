@@ -21,7 +21,7 @@ from demix.errors import EmptyWindowError
 from demix.kde import BandwidthSchedule, ConditionalKde
 from demix.measures import GridDensity, GridSpec
 from demix.regfit import (MdeConfig, MdeContext, fit_mixed_regression,
-                          mde_at_x, mde_general_at_x)
+                          mde_at_x)
 from demix.synth import (Dataset, MixedRegressionModel, MixingSpec,
                          RegressionCurve, sample_mixed_regression)
 from mde_oracle import minimize_l1
@@ -70,7 +70,7 @@ def test_solver_matches_oracle(seed, k, mode):
     cfg = MdeConfig(B=b_bound, coarse_grid=coarse,
                     refine_levels=seed % 4, mode=mode)
     want = minimize_l1(p_hat, lambdas, f_hats, cfg)
-    assert mde_general_at_x(p_hat, lambdas, f_hats, cfg) == want
+    assert mde_at_x(p_hat, lambdas, f_hats, cfg) == want
     pooled = minimize_l1(p_hat, lambdas, [f_hats[0]] * k, cfg)
     assert mde_at_x(p_hat, lambdas, f_hats[0], cfg) == pooled
 

@@ -5,19 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demix.measures import (
     DiscreteMeasure,
     GridDensity,
     GridSpec,
-    IntervalSet,
     box_mixture_density,
     convolve_gaussian,
     density_mean,
     l1_distance,
     wasserstein1,
-    wasserstein1_lp_oracle,
 )
+from measures_oracle import IntervalSet, wasserstein1_lp_oracle
 
 # 2 * (2 * Phi(1/2) - 1), the exact L1 distance between N(0,1) and N(1,1).
 L1_UNIT_SHIFT = 0.7658498450960524
@@ -332,3 +333,43 @@ def test_box_mixture_mass_exact_on_covering_grid():
     out = box_mixture_density(locs, wts, 0.25, GridSpec(-3.25, 3.25, 777))
     assert out.normalized
     assert out.integral() == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# properties over generated inputs
+# ---------------------------------------------------------------------------
+
+LOCATIONS = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def normalized_measures(draw, max_atoms=6):
+    n = draw(st.integers(1, max_atoms))
+    locs = draw(st.lists(LOCATIONS, min_size=n, max_size=n))
+    wts = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                 max_size=n)))
+    return DiscreteMeasure(locs, wts / wts.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(locs=st.lists(LOCATIONS, min_size=1, max_size=40), data=st.data(),
+       half_width=st.floats(0.01, 1.0), margin=st.floats(0.0, 2.0),
+       n_points=st.integers(2, 3000))
+def test_box_mixture_integral_is_total_weight(locs, data, half_width,
+                                              margin, n_points):
+    wts = data.draw(st.lists(st.floats(0.0, 2.0), min_size=len(locs),
+                             max_size=len(locs)))
+    grid = GridSpec(min(locs) - half_width - margin,
+                    max(locs) + half_width + margin, n_points)
+    out = box_mixture_density(locs, wts, half_width, grid)
+    assert out.integral() == pytest.approx(sum(wts), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(normalized_measures(), normalized_measures(), normalized_measures())
+def test_wasserstein_is_a_symmetric_metric(a, b, c):
+    ab = wasserstein1(a, b)
+    assert ab == pytest.approx(wasserstein1(b, a), abs=1e-12)
+    assert wasserstein1(a, c) <= ab + wasserstein1(b, c) + 1e-12
+    # The transport LP is solved to HiGHS's default tolerance, 1e-7.
+    assert ab == pytest.approx(wasserstein1_lp_oracle(a, b), abs=1e-7)

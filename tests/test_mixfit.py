@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demix.errors import (
     DegenerateComponentError,
@@ -79,8 +81,6 @@ def test_projection_config_validation():
         ProjectionConfig(L=0)
     with pytest.raises(ValueError):
         ProjectionConfig(M=-1.0)
-    with pytest.raises(ValueError):
-        ProjectionConfig(solver_tol=0.0)
     with pytest.raises(ValueError):
         ProjectionConfig(max_iters=0)
 
@@ -506,3 +506,67 @@ def test_mixture_fit_json_round_trip():
     np.testing.assert_allclose(back.g_hat.locations, fit.g_hat.locations)
     assert back.e_hats[0].intervals == fit.e_hats[0].intervals
     assert back.diagnostics["L"] == fit.diagnostics["L"]
+
+
+@st.composite
+def clumped_measures(draw):
+    """K clumps of atoms, each at most 0.3 wide, 2 to 5 apart.
+
+    Returns K, the normalized measure and the mass of each clump.
+    """
+    k = draw(st.integers(1, 3))
+    start = draw(st.floats(-4.0, 0.0))
+    gaps = draw(st.lists(st.floats(2.0, 5.0), min_size=k - 1,
+                         max_size=k - 1))
+    locs, wts, masses = [], [], []
+    for center in start + np.concatenate([[0.0], np.cumsum(gaps)]):
+        n = draw(st.integers(1, 4))
+        offsets = draw(st.lists(st.floats(0.0, 0.3), min_size=n, max_size=n))
+        w = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        locs += [center + o for o in offsets]
+        wts += w
+        masses.append(sum(w))
+    total = sum(wts)
+    return k, DiscreteMeasure(locs, np.array(wts) / total), \
+        np.array(masses) / total
+
+
+@settings(max_examples=40, deadline=None)
+@given(clumped_measures())
+def test_partition_pipeline_weights_sum_to_one_and_cells_tile(drawn):
+    k, g, clump_masses = drawn
+    delta = 0.1
+    lo, hi = g.support_bounds()
+    n_pts = int(math.ceil((hi - lo + 4 * delta) / (delta / 8))) + 1
+    g_smooth = smooth(g, delta, GridSpec(lo - 2 * delta, hi + 2 * delta,
+                                         n_pts))
+    # Each atom lifts the smoothed density to at least weight / (2 delta),
+    # and gaps inside a clump are far narrower than those between clumps.
+    t = 0.5 * g.weights.min() / (2 * delta)
+    e_hats = threshold_partition(g_smooth, t, k)
+    cells = voronoi_extend(e_hats)
+    fit = estimate_components(g, cells, 0.2, GridSpec(lo - 3.0, hi + 3.0,
+                                                      512), e_hats=e_hats)
+    assert abs(sum(fit.lambdas_hat) - 1.0) <= 1e-9
+    tiled = sorted(fit.cells)
+    assert tiled[0][0] == -math.inf and tiled[-1][1] == math.inf
+    assert all(left[1] == right[0] for left, right in zip(tiled, tiled[1:]))
+    assert sorted(fit.lambdas_hat) == pytest.approx(sorted(clump_masses),
+                                                    abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_settings_are_rejected_by_name(value):
+    with pytest.raises(ValueError, match="^M "):
+        ProjectionConfig(M=value)
+    with pytest.raises(ValueError, match="^delta "):
+        DenoiseConfig(delta=value)
+    with pytest.raises(ValueError, match="^t "):
+        DenoiseConfig.manual(0.2, value)
+    ys = sample_vanilla_mixture(two_bump_model(), 400, seed=1)
+    with pytest.raises(ValueError, match="^sigma "):
+        fit_vanilla_mixture(ys, 2, value)
+    p_hat = gaussian_pair_density([0.5, 0.5], [-2.0, 2.0], 0.25,
+                                  GridSpec(-6.0, 6.0, 512))
+    with pytest.raises(ValueError, match="^sigma "):
+        fit_mixture_from_density(p_hat, 2, value, n_hint=400)

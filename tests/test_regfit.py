@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demix.errors import InsufficientDataError
 from demix.kde import BandwidthSchedule
@@ -15,7 +17,7 @@ from demix.measures import (
     GridSpec,
     gaussian_blur_values,
 )
-from demix.mixfit import ProjectionConfig, estimate_components
+from demix.mixfit import estimate_components
 from demix.regfit import (
     MdeConfig,
     RegressionFit,
@@ -23,7 +25,6 @@ from demix.regfit import (
     find_separation_point,
     fit_mixed_regression,
     mde_at_x,
-    mde_general_at_x,
 )
 from demix.synth import (
     Dataset,
@@ -101,8 +102,6 @@ def test_mde_config_validation():
         MdeConfig(B=1.0, coarse_grid=2)
     with pytest.raises(ValueError):
         MdeConfig(B=1.0, refine_levels=-1)
-    with pytest.raises(ValueError):
-        MdeConfig(B=1.0, shrink=1.0)
     with pytest.raises(ValueError):
         MdeConfig(B=1.0, mode="annealing")
 
@@ -213,7 +212,7 @@ def test_mde_general_reduces_to_equal():
     f = blur_density([0.0], [1.0], 0.25)
     cfg = MdeConfig(B=2.0, coarse_grid=21, refine_levels=2)
     theta_eq, obj_eq = mde_at_x(p, (0.2, 0.3, 0.5), f, cfg)
-    theta_gen, obj_gen = mde_general_at_x(p, (0.2, 0.3, 0.5), (f, f, f), cfg)
+    theta_gen, obj_gen = mde_at_x(p, (0.2, 0.3, 0.5), (f, f, f), cfg)
     assert max(abs(a - b) for a, b in zip(theta_eq, theta_gen)) <= 1e-12
     assert abs(obj_eq - obj_gen) <= 1e-12
 
@@ -230,7 +229,7 @@ def test_mde_general_distinct_shapes():
         mix = mix + lam * np.interp(Y_PTS - t, Y_PTS, f.values,
                                     left=0.0, right=0.0)
     p = GridDensity(Y_SPEC.lo, Y_SPEC.hi, mix, normalized=True)
-    theta, obj = mde_general_at_x(p, lams, (f1, f2), MdeConfig(B=2.0))
+    theta, obj = mde_at_x(p, lams, (f1, f2), MdeConfig(B=2.0))
     assert theta == pytest.approx(theta_true, abs=1e-9)
     assert obj <= 1e-12  # objective vanishes at the generating parameters
 
@@ -407,14 +406,6 @@ def test_fit_deterministic():
     assert a.mixture.lambdas_hat == b.mixture.lambdas_hat
 
 
-def test_fit_rejects_projection_y_grid():
-    model = crossing_lines_model()
-    data = sample_mixed_regression(model, 400, seed=0)
-    cfg = ProjectionConfig(y_grid=GridSpec(-3.0, 3.0, 512))
-    with pytest.raises(ValueError, match="y_grid"):
-        fit_mixed_regression(data, 2, 0.2, x0=1.0, proj_cfg=cfg)
-
-
 def test_fit_rejects_empty_x_grid():
     model = crossing_lines_model()
     data = sample_mixed_regression(model, 400, seed=0)
@@ -548,3 +539,52 @@ def test_evaluate_rejects_mismatched_inputs():
         per_x_objective=(0.0,) * xs.size, x0_used=0.95)
     with pytest.raises(ValueError):
         evaluate_regression_fit(fit, model)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]),
+       shared=st.booleans(), refine_levels=st.integers(0, 2))
+def test_mde_recovers_theta_exactly_on_its_own_candidates(
+        seed, k, shared, refine_levels):
+    # The target is built from level-0 candidates with the solver's own
+    # arithmetic, so the sweep meets it with objective exactly 0.
+    rng = np.random.default_rng(seed)
+    b_bound = float(rng.uniform(0.5, 2.0))
+    coarse = {1: 41, 2: 21, 3: 9}[k]
+    cfg = MdeConfig(B=b_bound, coarse_grid=coarse,
+                    refine_levels=refine_levels)
+    half = float(rng.uniform(0.2, 0.8))
+    f_pts = np.linspace(-half, half, int(rng.integers(20, 400)))
+
+    def bump():  # vanishes at both ends, so shifts lose no mass
+        vals = (np.exp(-0.5 * (f_pts / rng.uniform(0.05, 0.3)) ** 2)
+                * (half ** 2 - f_pts ** 2))
+        return GridDensity(-half, half, vals / np.trapezoid(vals, f_pts),
+                           normalized=True)
+
+    f_hats = [bump()] * k if shared else [bump() for _ in range(k)]
+    lambdas = tuple(rng.dirichlet(np.ones(k)))
+    axis = np.linspace(-b_bound, b_bound, coarse)
+    theta = axis[np.sort(rng.choice(coarse, size=k, replace=False))]
+    reach = b_bound + half + 0.5
+    spec = GridSpec(-reach, reach, int(rng.integers(100, 1500)))
+    target = np.zeros(spec.n_points)
+    for lam, f, t in zip(lambdas, f_hats, theta):
+        target += lam * np.interp(spec.points() - t, f.grid, f.values,
+                                  left=0.0, right=0.0)
+    p = GridDensity(spec.lo, spec.hi, target)
+    got = mde_at_x(p, lambdas, f_hats[0] if shared else f_hats, cfg)
+    assert got == (tuple(float(v) for v in theta), 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_regression_settings_are_rejected_by_name(value):
+    with pytest.raises(ValueError, match="^B "):
+        MdeConfig(B=value)
+    data = sample_mixed_regression(crossing_lines_model(), 400, seed=0)
+    with pytest.raises(ValueError, match="^sigma "):
+        fit_mixed_regression(data, 2, value, x0=1.0)
+    with pytest.raises(ValueError, match="^x0 "):
+        fit_mixed_regression(data, 2, 0.2, x0=value)
+    with pytest.raises(ValueError, match="^window "):
+        find_separation_point(data, 2, window=value)
