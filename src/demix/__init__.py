@@ -14,7 +14,9 @@ models and samples from them.  ``kde`` provides box-kernel density estimators.
 ``mixfit`` recovers mixture components from a density estimate by projection
 onto finite Gaussian mixtures, smoothing, and level-set partitioning.
 ``regfit`` turns per-covariate minimum-distance fits into regression curve
-estimates.  ``cli`` wraps everything into a command-line harness.
+estimates.  ``spec`` parses and checks experiment files, ``cli`` runs the
+command-line workflow over them and owns its dataset and artifact files,
+and ``demos`` holds the ``demo-nonident`` demonstrations.
 """
 
 from .measures import (

@@ -1,4 +1,4 @@
-"""Command-line harness: experiment files, batch runs, reports, demos.
+"""Command-line harness: batch runs of the experiment workflow, reports.
 
 The ``demix`` entry point drives the full workflow from one experiment
 file. A typical session:
@@ -10,7 +10,7 @@ file. A typical session:
     demix demo-nonident equal_weights_regression --out runs/demo
 
 The experiment file is JSON holding a type-tagged generating model plus
-optional estimator settings:
+optional estimator settings; ``demix.spec`` parses and checks it:
 
     {
       "model": {"type": "mixed_regression", ...},
@@ -28,6 +28,9 @@ optional estimator settings:
       "out": "runs/exp"
     }
 
+Dataset CSVs are written by ``_atomic_write_rows`` and read back only by
+``_load_dataset``.  ``demo-nonident`` runs the demonstrations in ``demos``.
+
 Commands are pure functions of the spec file and input files: rerunning
 one rewrites byte-identical artifacts. Seeds run concurrently (bounded by
 ``--threads``) with independent generator states; files are written
@@ -37,14 +40,16 @@ regression fit go to the one pool the process shares, sized to its CPUs,
 so concurrent seeds share the cores, and artifacts do not depend on the
 thread count. A seed whose fit fails is recorded in its artifact and the
 run continues; a missing dataset stops the run, naming the first such seed
-in (n, seed) order.
+in (n, seed) order, and a malformed one stops it naming the file and line.
 
 Seeds, in the spec, in ``--seeds`` and in ``demo-nonident``, must be
 distinct nonnegative integers. Every settings block (the spec, ``configs``
-and each block inside it) rejects keys it does not know.
+and each block inside it) rejects keys it does not know and values of the
+wrong type.
 
-Exit codes: 0 success, 2 validation error (including any malformed spec),
-3 pipeline failure, 4 acceptance thresholds failed (with ``--acceptance``).
+Exit codes: 0 success, 2 validation error (including any malformed spec
+or dataset), 3 pipeline failure, 4 acceptance thresholds failed (with
+``--acceptance``).
 """
 
 from __future__ import annotations
@@ -52,28 +57,22 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 
 from .errors import PipelineError
 from .kde import BandwidthSchedule
 from .measures import GridSpec, l1_distance, wasserstein1
-from .mixfit import (DenoiseConfig, MixtureFit, ProjectionConfig,
-                     fit_vanilla_mixture)
-from .regfit import (X_GRID_POINTS, MdeConfig, RegressionFit,
-                     evaluate_regression_fit, find_separation_point,
-                     fit_mixed_regression)
-from .synth import (Dataset, MixedRegressionModel, MixingSpec,
-                    RegressionCurve, SeparationWarning, VanillaMixtureModel,
-                    load_samples_csv, sample_mixed_regression,
-                    sample_vanilla_mixture)
+from .mixfit import MixtureFit, fit_vanilla_mixture
+from .regfit import (RegressionFit, evaluate_regression_fit,
+                     find_separation_point, fit_mixed_regression)
+from .spec import ExperimentSpec, _load_spec, _parse_seeds
+from .synth import (Dataset, MixedRegressionModel, VanillaMixtureModel,
+                    sample_mixed_regression, sample_vanilla_mixture)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,13 +84,9 @@ REGRESSION_MEDIAN_BOUND = 0.2
 MIXTURE_LAMBDA_BOUND = 0.05
 MIXTURE_F_BOUND = 0.3
 
-_SPEC_KEYS = {"model", "n", "seeds", "configs", "out"}
-_CONFIG_KEYS = {"bandwidth", "projection", "denoise", "mde",
-                "x0", "n_x_grid", "window"}
-
 
 # ---------------------------------------------------------------------------
-# atomic artifact writing
+# artifact files
 # ---------------------------------------------------------------------------
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -122,214 +117,49 @@ def _atomic_write_rows(path: str, header, rows) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _load_dataset(out: str, n: int, seed: int, kind: str):
+    """The dataset CSV of (n, seed) as ``_atomic_write_rows`` wrote it, bit
+    for bit; ``ValueError`` names the file, and the line, of any fault."""
+    path = _dataset_path(out, n, seed)
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"dataset for n={n} seed={seed} not found: {path}")
+    header = ["x", "y"] if kind == "regression" else ["y"]
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or [h.strip() for h in lines[0].split(",")] != header:
+        raise ValueError(f"expected header {','.join(header)!r} in {path}")
+    if len(lines) == 1:
+        raise ValueError(f"no data rows in {path}")
+    # np.loadtxt would skip blank lines and take any column count the rows
+    # agree on.
+    for number, row in enumerate(lines[1:], start=2):
+        if not row.strip() or row.count(",") != len(header) - 1:
+            raise ValueError(f"{path} line {number}: expected "
+                             f"{len(header)} comma-separated values, "
+                             f"got {row!r}")
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    except ValueError as exc:  # a value that is not a number
+        for number, row in enumerate(lines[1:], start=2):
+            try:
+                [float(v) for v in row.split(",")]
+            except ValueError:
+                raise ValueError(f"{path} line {number}: not a number "
+                                 f"in {row!r}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path} line {finite.argmin() + 2}: "
+                         f"non-finite value")
+    if kind == "regression":
+        return Dataset(values[:, 0].copy(), values[:, 1].copy(), seed)
+    return values.ravel()
+
+
 # ---------------------------------------------------------------------------
-# experiment files
+# batch running
 # ---------------------------------------------------------------------------
-
-def model_from_json_obj(obj: dict):
-    """Dispatch a type-tagged model object to its class."""
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ValueError("model must be a JSON object with a 'type' tag")
-    tag = obj["type"]
-    if tag == "mixed_regression":
-        return MixedRegressionModel.from_json_obj(obj)
-    if tag == "vanilla_mixture":
-        return VanillaMixtureModel.from_json_obj(obj)
-    raise ValueError(f"unknown model type {tag!r}")
-
-
-def _positive_int(value, name: str) -> int:
-    """``value`` as an int, if it is a whole number of at least 1."""
-    # JSON numbers parse to exactly int or float; bool is excluded.
-    whole = (type(value) is int
-             or type(value) is float and value.is_integer())
-    if not whole or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _optional_number(value, name: str, positive: bool = False):
-    """``value`` if it is None or a finite number, positive if asked."""
-    low = 0 if positive else -math.inf
-    # JSON numbers parse to exactly int or float; bool is excluded.
-    if value is not None and not (type(value) in (int, float)
-                                  and low < value < math.inf):
-        raise ValueError(f"{name} must be a "
-                         f"{'positive' if positive else 'finite'} number, "
-                         f"got {value!r}")
-    return value
-
-
-def _parse_seeds(raw, name: str) -> tuple:
-    """Seeds from a spec's JSON list or a flag's comma-separated text: at
-    least one, all distinct nonnegative integers."""
-    if isinstance(raw, str):
-        try:
-            raw = [int(s) for s in raw.split(",")]
-        except ValueError:
-            raise ValueError(f"{name} must be comma-separated integers, "
-                             f"got {raw!r}") from None
-    if (not raw or any(type(s) is not int or s < 0 for s in raw)
-            or len(set(raw)) != len(raw)):
-        raise ValueError(f"{name} must be a nonempty list of distinct "
-                         f"nonnegative integers, got {raw!r}")
-    return tuple(raw)
-
-
-def _parse_config(cls, obj, name: str):
-    """Build the settings dataclass ``cls`` from the spec block ``name``,
-    whose keys must be fields of ``cls``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{name} must be a JSON object")
-    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    try:
-        return cls(**obj)
-    except TypeError as exc:  # a value of the wrong type
-        raise ValueError(f"{name}: {exc}") from None
-
-
-@dataclasses.dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment: a generating model, sample sizes, seeds, settings.
-
-    ``k`` and ``sigma`` default to the model's own values; command-line
-    flags may override any field for misspecification studies.
-    """
-
-    model: object
-    n_values: tuple
-    seeds: tuple
-    k: int
-    sigma: float
-    bandwidth: BandwidthSchedule | None = None
-    projection: ProjectionConfig | None = None
-    denoise: DenoiseConfig | None = None
-    mde: MdeConfig | None = None
-    x0: float | None = None
-    n_x_grid: int = X_GRID_POINTS
-    window: float | None = None
-    out: str | None = None
-
-    @property
-    def kind(self) -> str:
-        if isinstance(self.model, MixedRegressionModel):
-            return "regression"
-        return "mixture"
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ExperimentSpec":
-        unknown = set(obj) - _SPEC_KEYS
-        if unknown:
-            raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        model = model_from_json_obj(obj["model"])
-
-        raw_n = obj.get("n", [])
-        if isinstance(raw_n, (int, float)):
-            raw_n = [raw_n]
-        n_values = [_positive_int(v, "n") for v in raw_n]
-        if not n_values:
-            raise ValueError("spec needs at least one sample size in 'n'")
-        if len(set(n_values)) != len(n_values):
-            raise ValueError(f"n must hold distinct sample sizes, "
-                             f"got {raw_n!r}")
-
-        seeds = obj.get("seeds")
-        if not isinstance(seeds, list):
-            raise ValueError("spec needs a 'seeds' list")
-        configs = obj.get("configs", {})
-        if not isinstance(configs, dict):
-            raise ValueError("configs must be a JSON object")
-        unknown = set(configs) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings = {key: _parse_config(cfg_cls, configs[key], key)
-                    for key, cfg_cls in (("projection", ProjectionConfig),
-                                         ("denoise", DenoiseConfig),
-                                         ("mde", MdeConfig))
-                    if key in configs}
-        if "bandwidth" in configs:
-            settings["bandwidth"] = BandwidthSchedule.from_json_obj(
-                configs["bandwidth"])
-        if "n_x_grid" in configs:
-            settings["n_x_grid"] = _positive_int(configs["n_x_grid"],
-                                                 "n_x_grid")
-        x0 = _optional_number(configs.get("x0"), "x0")
-        window = _optional_number(configs.get("window"), "window",
-                                  positive=True)
-        out = obj.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ValueError(f"out must be a path string, got {out!r}")
-
-        return cls(
-            model=model,
-            n_values=tuple(sorted(n_values)),
-            seeds=_parse_seeds(seeds, "seeds"),
-            k=model.k,
-            sigma=model.sigma,
-            x0=x0,
-            window=window,
-            out=out,
-            **settings,
-        )
-
-
-def _apply_overrides(spec: ExperimentSpec,
-                     args: argparse.Namespace) -> ExperimentSpec:
-    """Fold command-line flags into the loaded spec."""
-    updates = {}
-    if args.seeds is not None:
-        updates["seeds"] = _parse_seeds(args.seeds, "--seeds")
-    if args.K is not None:
-        if args.K < 1:
-            raise ValueError("--K must be at least 1")
-        updates["k"] = args.K
-    if args.sigma is not None:
-        if not 0 < args.sigma < math.inf:
-            raise ValueError("--sigma must be positive")
-        updates["sigma"] = args.sigma
-
-    proj_kw = {key: value for key, value in (("L", args.L), ("M", args.M))
-               if value is not None}
-    if proj_kw:
-        updates["projection"] = dataclasses.replace(
-            spec.projection or ProjectionConfig(), **proj_kw)
-
-    if (args.delta is not None or args.threshold is not None
-            or args.auto_schedule):
-        base = spec.denoise or DenoiseConfig()
-        delta = args.delta if args.delta is not None else base.delta
-        t = args.threshold if args.threshold is not None else base.t
-        schedule = "auto" if args.auto_schedule else "manual"
-        updates["denoise"] = DenoiseConfig(schedule=schedule,
-                                           delta=delta, t=t)
-
-    bw_kw = {key: value for key, value in (("c", args.bandwidth_c),
-                                           ("exponent", args.bandwidth_exp))
-             if value is not None}
-    if bw_kw:
-        updates["bandwidth"] = BandwidthSchedule.power_law(**bw_kw)
-
-    return dataclasses.replace(spec, **updates) if updates else spec
-
-
-def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if not args.spec:
-        raise ValueError("this command needs --spec <file>")
-    try:
-        with open(args.spec) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"spec file {args.spec}: invalid JSON ({exc})")
-    try:
-        spec = ExperimentSpec.from_json_obj(obj)
-    except KeyError as exc:
-        raise ValueError(f"spec file {args.spec}: missing key {exc}") from None
-    except TypeError as exc:
-        raise ValueError(f"spec file {args.spec}: {exc}") from None
-    return _apply_overrides(spec, args)
-
 
 def _out_dir(spec: ExperimentSpec, args: argparse.Namespace) -> str:
     out = args.out or spec.out
@@ -345,10 +175,6 @@ def _require_kind(spec: ExperimentSpec, kind: str, command: str) -> None:
         raise ValueError(f"{command} needs a {kind} model, "
                          f"the spec holds a {spec.kind} model")
 
-
-# ---------------------------------------------------------------------------
-# batch running
-# ---------------------------------------------------------------------------
 
 def _run_tasks(tasks, worker, threads: int) -> list:
     """Run worker over tasks, in a thread pool when threads > 1.
@@ -394,10 +220,6 @@ def _fit_path(out: str, kind: str, n: int, seed: int) -> str:
     return os.path.join(out, f"fit_{kind}_n{n}_seed{seed}.json")
 
 
-def _plot_path(out: str, kind: str, n: int, seed: int) -> str:
-    return os.path.join(out, f"plot_{kind}_n{n}_seed{seed}.csv")
-
-
 # ---------------------------------------------------------------------------
 # plot-data emission
 # ---------------------------------------------------------------------------
@@ -419,30 +241,20 @@ def _write_regression_plot(path: str, fit: RegressionFit,
     _atomic_write_rows(path, header, rows)
 
 
-def _mixture_plot_grid(fit: MixtureFit) -> GridSpec:
-    spec = fit.f_hats[0].spec()
-    lo = min(mu + f.spec().lo for mu, f in zip(fit.mus_hat, fit.f_hats))
-    hi = max(mu + f.spec().hi for mu, f in zip(fit.mus_hat, fit.f_hats))
-    return GridSpec(lo, hi, spec.n_points)
-
-
-def _mixture_density_values(fit: MixtureFit, y: np.ndarray) -> np.ndarray:
-    """Fitted mixture density Σ λ̂_k f̂_k(y − μ̂_k), zero off-grid."""
-    total = np.zeros_like(y)
-    for lam, mu, f_hat in zip(fit.lambdas_hat, fit.mus_hat, fit.f_hats):
-        pts = f_hat.spec().points() + mu
-        total += lam * np.interp(y, pts, f_hat.values, left=0.0, right=0.0)
-    return total
-
-
 def _write_mixture_plot(path: str, fit: MixtureFit,
                         model: VanillaMixtureModel) -> None:
-    grid = _mixture_plot_grid(fit)
+    """The fitted density Σ λ̂_k f̂_k(y − μ̂_k), zero off each
+    component's grid, and the true one, over a grid spanning them all."""
+    lo = min(mu + f.spec().lo for mu, f in zip(fit.mus_hat, fit.f_hats))
+    hi = max(mu + f.spec().hi for mu, f in zip(fit.mus_hat, fit.f_hats))
+    grid = GridSpec(lo, hi, fit.f_hats[0].spec().n_points)
     y = grid.points()
-    f_hat = _mixture_density_values(fit, y)
-    f_true = model.density(grid).values
+    f_hat = np.zeros_like(y)
+    for lam, mu, f in zip(fit.lambdas_hat, fit.mus_hat, fit.f_hats):
+        f_hat += lam * np.interp(y, f.spec().points() + mu, f.values,
+                                 left=0.0, right=0.0)
     _atomic_write_rows(path, ["y", "f_hat", "f_true"],
-                       np.column_stack([y, f_hat, f_true]))
+                       np.column_stack([y, f_hat, model.density(grid).values]))
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +296,6 @@ def cmd_simulate(spec: ExperimentSpec, out: str, threads: int) -> int:
     return EXIT_OK
 
 
-def _load_dataset(out: str, n: int, seed: int, kind: str):
-    path = _dataset_path(out, n, seed)
-    if not os.path.exists(path):
-        raise FileNotFoundError(
-            f"dataset for n={n} seed={seed} not found: {path}")
-    if kind == "regression":
-        return Dataset.from_csv(path, seed=seed)
-    return load_samples_csv(path)
-
-
 def cmd_fit(spec: ExperimentSpec, out: str, threads: int,
             kind: str) -> int:
     """Fit every (n, seed) dataset; record per-seed failures and
@@ -503,7 +305,7 @@ def cmd_fit(spec: ExperimentSpec, out: str, threads: int,
 
     def worker(n: int, seed: int) -> dict:
         data = _load_dataset(out, n, seed, kind)
-        plot = _plot_path(out, kind, n, seed)
+        plot = os.path.join(out, f"plot_{kind}_n{n}_seed{seed}.csv")
         record = {"n": n, "seed": seed}
         with _recording(record):
             if kind == "regression":
@@ -698,234 +500,6 @@ def cmd_eval(spec: ExperimentSpec, out: str,
 
 
 # ---------------------------------------------------------------------------
-# command: demo-nonident
-# ---------------------------------------------------------------------------
-
-def _smooth_step(s: np.ndarray) -> np.ndarray:
-    """C-infinity ramp: 0 for s <= 0, 1 for s >= 1."""
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-
-    def bump(t):
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = np.exp(-1.0 / t[pos])
-        return out
-
-    rise, fall = bump(s), bump(1.0 - s)
-    return rise / (rise + fall)
-
-
-def _crossing_lines_model(lambdas) -> MixedRegressionModel:
-    return MixedRegressionModel(
-        a=-1.0, b=1.0, lambdas=lambdas,
-        m=(RegressionCurve.line(1.0), RegressionCurve.line(-1.0)),
-        sigma=0.2, g0=MixingSpec.point_mass(), x0=1.0)
-
-
-def _demo_equal_weights(out: str, n: int, seeds, threads: int) -> None:
-    """Label switching at equal weights: fits recover the curve values
-    but sorted labels flip between grid points, while a weight contrast
-    restores the sorted labeling. Also writes the smooth-blend curve
-    pair that leaves the sampled law unchanged."""
-    equal = _crossing_lines_model((0.5, 0.5))
-    contrast = _crossing_lines_model((0.35, 0.65))
-
-    def worker(model, seed):
-        data = sample_mixed_regression(model, n, seed)
-        fit = fit_mixed_regression(data, model.k, model.sigma,
-                                   x0=model.x0, a=model.a, b=model.b)
-        report = evaluate_regression_fit(fit, model)
-        return data, fit, {
-            "seed": seed,
-            "sorted_label_error": report["m_mean_abs_max"],
-            "global_best_perm_error": report["best_perm_m_mean_abs_max"],
-            "pointwise_pairing_error": report["pointwise_pairing_m_mean"],
-        }
-
-    runs = _run_tasks([(model, seed) for model in (equal, contrast)
-                       for seed in seeds], worker, threads)
-    rows = [row for _, _, row in runs]
-    equal_rows, contrast_rows = rows[:len(seeds)], rows[len(seeds):]
-
-    def medians(rows):
-        return {key: float(np.median([r[key] for r in rows]))
-                for key in rows[0] if key != "seed"}
-
-    eq, ct = medians(equal_rows), medians(contrast_rows)
-    flip_count = sum(r["sorted_label_error"] > 0.5 for r in equal_rows)
-
-    # The blend pair: swap the labels smoothly between two adjacent
-    # sample points; no sample lands inside, so the observable law of
-    # (X, Y) is exactly the same for both curve systems. Placed near
-    # x = 0.5 where the curves are far apart, so the swap is visible.
-    data0, fit0, _ = runs[0]
-    xs = np.sort(np.asarray(data0.x))
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    candidates = np.argsort(np.abs(mids - 0.5), kind="stable")
-    idx = next(int(i) for i in candidates if xs[i] < xs[i + 1])
-    u, v = float(xs[idx]), float(xs[idx + 1])
-
-    grid = np.linspace(equal.a, equal.b, 401)
-    phi = _smooth_step((grid - u) / (v - u))
-    m1, m2 = equal.curve_values(grid)
-    blend1 = (1.0 - phi) * m1 + phi * m2
-    blend2 = (1.0 - phi) * m2 + phi * m1
-    curves_csv = os.path.join(out, "demo_label_switch_curves.csv")
-    _atomic_write_rows(curves_csv,
-                       ["x", "m1", "m2", "m1_blend", "m2_blend"],
-                       np.column_stack([grid, m1, m2, blend1, blend2]))
-
-    phi_s = _smooth_step((data0.x - u) / (v - u))
-    m1_s, m2_s = equal.curve_values(data0.x)
-    b1_s = (1.0 - phi_s) * m1_s + phi_s * m2_s
-    b2_s = (1.0 - phi_s) * m2_s + phi_s * m1_s
-    direct = np.maximum(np.abs(b1_s - m1_s), np.abs(b2_s - m2_s))
-    swapped = np.maximum(np.abs(b1_s - m2_s), np.abs(b2_s - m1_s))
-    discrepancy = float(np.minimum(direct, swapped).max())
-
-    first_fit_csv = os.path.join(
-        out, f"demo_equal_weights_fit_seed{seeds[0]}.csv")
-    _write_regression_plot(first_fit_csv, fit0, equal)
-
-    report = {
-        "variant": "equal_weights_regression",
-        "n": n,
-        "seeds": list(seeds),
-        "equal_weights": {
-            "lambdas": list(equal.lambdas),
-            "per_seed": equal_rows,
-            "medians": eq,
-            "seeds_with_sorted_error_above_0.5": flip_count,
-        },
-        "contrast_weights": {
-            "lambdas": list(contrast.lambdas),
-            "per_seed": contrast_rows,
-            "medians": ct,
-        },
-        "label_switch_pair": {
-            "u": u,
-            "v": v,
-            "max_set_discrepancy_at_samples": discrepancy,
-            "curves_csv": os.path.basename(curves_csv),
-        },
-        "plot_csv": os.path.basename(first_fit_csv),
-    }
-    _atomic_write_json(
-        os.path.join(out, "demo_equal_weights_regression.json"), report)
-
-    print(f"equal weights: sorted-label error median "
-          f"{eq['sorted_label_error']:.4g}, "
-          f"above 0.5 in {flip_count}/{len(seeds)} seeds")
-    print(f"equal weights: pointwise pairing error median "
-          f"{eq['pointwise_pairing_error']:.4g}")
-    print(f"contrast weights: sorted-label error median "
-          f"{ct['sorted_label_error']:.4g}")
-    print(f"blend pair ({u:.6g}, {v:.6g}): max set discrepancy at "
-          f"samples {discrepancy:.3g}")
-
-
-def _near_nonregular_model(xi: float) -> VanillaMixtureModel:
-    """Two-component mixture whose error laws are (1-a) g + a h with the
-    h locations at +-xi; xi -> 0 collapses them onto a common bump."""
-    mu, alpha, width = 2.5, 0.15, 0.05
-    gks, centers = [], []
-    for sign in (1.0, -1.0):
-        main, minor = sign * mu, sign * xi
-        center = (1.0 - alpha) * main + alpha * minor
-        gks.append(MixingSpec.uniform_mixture([
-            ((main - center - width, main - center + width), 1.0 - alpha),
-            ((minor - center - width, minor - center + width), alpha),
-        ]))
-        centers.append(center)
-    return VanillaMixtureModel(lambdas=(0.4, 0.6), mus=tuple(centers),
-                               sigma=1.0, gks=tuple(gks))
-
-
-def _demo_near_nonregular(out: str, n: int, seeds,
-                          threads: int) -> None:
-    """Component recovery degrades as the minor bumps collapse toward a
-    shared location (xi -> 0), on paired seeds."""
-    xis = (1.0, 0.01)
-    models, warned = {}, {}
-    for xi in xis:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            models[xi] = _near_nonregular_model(xi)
-        warned[xi] = any(issubclass(w.category, SeparationWarning)
-                         for w in caught)
-
-    def worker(xi, seed):
-        samples = sample_vanilla_mixture(models[xi], n, seed)
-        record = {"xi": xi, "seed": seed}
-        with _recording(record):
-            fit = fit_vanilla_mixture(samples, 2, models[xi].sigma)
-            record.update(fit=fit, **_mixture_fit_metrics(fit, models[xi]))
-        return record
-
-    tasks = [(xi, seed) for xi in xis for seed in seeds]
-    records = _run_tasks(tasks, worker, threads)
-    by_xi = {xi: [r for r in records if r["xi"] == xi] for xi in xis}
-
-    blocks, medians = {}, {}
-    for xi in xis:
-        ok = [r for r in by_xi[xi] if r["status"] == "ok"]
-        if ok:
-            tag = repr(xi).replace(".", "p")
-            _write_mixture_plot(
-                os.path.join(out, f"demo_near_nonregular_density_"
-                                  f"xi{tag}.csv"),
-                ok[0]["fit"], models[xi])
-        medians[xi] = (float(np.median([r["f_l1_max"] for r in ok]))
-                       if ok else None)
-        blocks[repr(xi)] = {
-            "separation_warning": warned[xi],
-            "per_seed": [{key: value for key, value in r.items()
-                          if key not in ("xi", "fit")} for r in by_xi[xi]],
-            "f_l1_max_median": medians[xi],
-            "n_failed": len(by_xi[xi]) - len(ok),
-        }
-
-    pair_deltas = []
-    for far, near in zip(by_xi[1.0], by_xi[0.01]):
-        if far["status"] == "ok" and near["status"] == "ok":
-            pair_deltas.append(near["f_l1_max"] - far["f_l1_max"])
-    degraded = (medians[1.0] is not None and medians[0.01] is not None
-                and medians[0.01] > medians[1.0])
-
-    report = {
-        "variant": "near_nonregular_mixture",
-        "n": n,
-        "seeds": list(seeds),
-        "xi_values": list(xis),
-        "per_xi": blocks,
-        "paired_f_error_deltas": [float(d) for d in pair_deltas],
-        "pairs_strictly_larger_at_small_xi":
-            sum(d > 0 for d in pair_deltas),
-        "error_strictly_larger_at_small_xi": bool(degraded),
-    }
-    _atomic_write_json(
-        os.path.join(out, "demo_near_nonregular_mixture.json"), report)
-
-    for xi in xis:
-        med = medians[xi]
-        med_text = "n/a" if med is None else f"{med:.4g}"
-        print(f"xi={xi}: component L1 error median {med_text}, "
-              f"{blocks[repr(xi)]['n_failed']} failed, separation warning "
-              f"{'yes' if warned[xi] else 'no'}")
-    print("error strictly larger at xi=0.01: "
-          + ("yes" if degraded else "no"))
-
-
-def cmd_demo_nonident(variant: str, out: str, n: int, seeds,
-                      threads: int) -> int:
-    if variant == "equal_weights_regression":
-        _demo_equal_weights(out, n, seeds, threads)
-    else:
-        _demo_near_nonregular(out, n, seeds, threads)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
@@ -995,8 +569,11 @@ def main(argv=None) -> int:
                      if args.seeds is not None else tuple(range(10)))
             if args.n < 1:
                 raise ValueError("--n must be at least 1")
-            return cmd_demo_nonident(args.variant, out, args.n, seeds,
-                                     args.threads)
+            from . import demos
+            demo = {"equal_weights_regression": demos.equal_weights,
+                    "near_nonregular_mixture": demos.near_nonregular}
+            demo[args.variant](out, args.n, seeds, args.threads)
+            return EXIT_OK
 
         spec = _load_spec(args)
         out = _out_dir(spec, args)

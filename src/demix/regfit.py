@@ -19,9 +19,7 @@ whatever the thread count.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 import os
 import threading
@@ -160,19 +158,6 @@ class RegressionFit:
             interpolated=tuple(bool(v) for v in obj.get("interpolated", [])),
             diagnostics=obj.get("diagnostics", {}),
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["x", *(f"m{k + 1}" for k in range(self.k)), "residual"]
-            )
-            for i, x in enumerate(self.x_grid):
-                writer.writerow([
-                    repr(float(x)),
-                    *(repr(float(m[i])) for m in self.m_hat),
-                    repr(float(self.per_x_objective[i])),
-                ])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ are reproducible across platforms; the seed travels with the sampled
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -557,7 +556,6 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     seed: int
-    model_id: str | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -574,51 +572,6 @@ class Dataset:
 
     def __len__(self):
         return self.x.size
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for xv, yv in zip(self.x, self.y):
-                writer.writerow([repr(float(xv)), repr(float(yv))])
-
-    @classmethod
-    def from_csv(cls, path, seed: int = -1,
-                 model_id: str | None = None) -> "Dataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != ["x", "y"]:
-                raise ValueError(f"expected header 'x,y' in {path}")
-            rows = [(float(r[0]), float(r[1])) for r in reader]
-        if not rows:
-            raise ValueError(f"no data rows in {path}")
-        xs, ys = zip(*rows)
-        try:
-            return cls(np.array(xs), np.array(ys), seed, model_id)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-
-def save_samples_csv(path, samples) -> None:
-    """Write a one-column response sample with header ``y``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y"])
-        for v in np.asarray(samples, dtype=float):
-            writer.writerow([repr(float(v))])
-
-
-def load_samples_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["y"]:
-            raise ValueError(f"expected header 'y' in {path}")
-        vals = [float(r[0]) for r in reader]
-    if not vals:
-        raise ValueError(f"no data rows in {path}")
-    return np.array(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +592,8 @@ def _blurred_mixture(grid: GridSpec, sigma: float, parts) -> GridDensity:
     return GridDensity(grid.lo, grid.hi, values, normalized=covered)
 
 
-def sample_mixed_regression(model: MixedRegressionModel, n: int, seed: int,
-                            model_id: str | None = None) -> Dataset:
+def sample_mixed_regression(model: MixedRegressionModel, n: int,
+                            seed: int) -> Dataset:
     """Draw ``n`` pairs from the model, deterministically in ``seed``."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -651,7 +604,7 @@ def sample_mixed_regression(model: MixedRegressionModel, n: int, seed: int,
     noise = model.sigma * rng.standard_normal(n)
     curves = model.curve_values(x)
     y = curves[comp, np.arange(n)] + shift + noise
-    return Dataset(x, y, seed, model_id)
+    return Dataset(x, y, seed)
 
 
 def sample_vanilla_mixture(model: VanillaMixtureModel, n: int,

@@ -5,6 +5,9 @@ suite exercises argument parsing, the batch runners, and artifact formats
 without subprocess overhead.
 """
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -17,10 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import demix.cli as cli
+import demix.errors
 from demix.cli import main
+from demix.errors import PipelineError
+from demix.kde import BandwidthSchedule
 from demix.measures import DiscreteMeasure, GridSpec
-from demix.mixfit import estimate_components
-from demix.regfit import RegressionFit
+from demix.mixfit import DenoiseConfig, ProjectionConfig, estimate_components
+from demix.regfit import MdeConfig, RegressionFit
 from demix.synth import (MixedRegressionModel, MixingSpec, RegressionCurve,
                          VanillaMixtureModel)
 
@@ -165,6 +171,16 @@ REJECTED_SPECS = [
     ("x0_nan", {"configs": {"x0": math.nan}}, "x0"),
     ("mde_B_nan", {"configs": {"x0": 1.0, "mde": {"B": math.nan}}},
      "B must"),
+    ("coarse_grid_fraction", {"configs": {"mde": {"coarse_grid": 30.5}}},
+     "mde.coarse_grid"),
+    ("refine_levels_fraction", {"configs": {"mde": {"refine_levels": 1.5}}},
+     "mde.refine_levels"),
+    ("projection_L_fraction", {"configs": {"projection": {"L": 20.5}}},
+     "projection.L"),
+    ("max_iters_fraction", {"configs": {"projection": {"max_iters": 10.5}}},
+     "projection.max_iters"),
+    ("coarse_grid_bool", {"configs": {"mde": {"coarse_grid": True}}},
+     "mde.coarse_grid"),
 ]
 
 
@@ -183,6 +199,77 @@ def test_malformed_spec_exits_2_naming_the_key(tmp_path, capsys, changes,
         assert code == 2, f"{command} returned {code}"
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err, err
+
+
+SETTINGS_BLOCKS = {"bandwidth": BandwidthSchedule,
+                   "projection": ProjectionConfig,
+                   "denoise": DenoiseConfig, "mde": MdeConfig}
+# Valid text for the settings that take text, besides their defaults.
+SETTING_TEXT = {"kind": ["fixed"], "schedule": ["manual"],
+                "mode": ["coordinate"]}
+# Wrongly typed, fractional, boolean, NaN, infinite and negative values,
+# and small whole numbers, one written as a float, that a fit may reject.
+BAD_SETTING = st.sampled_from([True, False, None, "1", [1], 0.5, 2.5, 10.5,
+                               30.5, -1, -2.5, math.nan, math.inf,
+                               -math.inf, 1, 3.0])
+
+
+def settings_block(name):
+    """``{name: block}`` for the settings dataclass of block ``name``: one
+    or two keys drawn from its fields plus an unknown one, each holding a
+    value from ``BAD_SETTING``, or the field's default or another valid
+    text."""
+    fields = {f.name: f.default
+              for f in dataclasses.fields(SETTINGS_BLOCKS[name])}
+
+    def value(key):
+        if key not in fields:
+            return BAD_SETTING
+        valid = [fields[key], *SETTING_TEXT.get(key, [])]
+        return st.one_of(BAD_SETTING, st.sampled_from(valid))
+
+    keys = st.lists(st.sampled_from([*fields, "unknown"]), unique=True,
+                    min_size=1, max_size=2)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries(
+        {k: value(k) for k in ks})).map(lambda block: {name: block})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SETTINGS_BLOCKS)).flatmap(settings_block))
+def test_generated_settings_exit_cleanly(blocks):
+    """Every command exits 0, exits 2 naming a key of the drawn block
+    (a missing ``kind`` included), or exits 3 with each seed's
+    PipelineError recorded; none raises out of main()."""
+    named = [*blocks, "unknown",
+             *(f.name for name in blocks
+               for f in dataclasses.fields(SETTINGS_BLOCKS[name]))]
+    with tempfile.TemporaryDirectory() as root:
+        out = os.path.join(root, "out")
+        spec = write_spec(os.path.join(root, "exp.json"),
+                          crossing_lines_obj(), [400], [0],
+                          configs={"x0": 1.0, "n_x_grid": 5, **blocks},
+                          out=out)
+        for command, record in (("simulate", None),
+                                ("fit-regression",
+                                 "fit_regression_n400_seed0.json"),
+                                ("find-sep", "sep_n400_seed0.json")):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--spec", spec])
+            err = err.getvalue()
+            if code == 2:
+                assert err.startswith("error:"), err
+                assert any(key in err for key in named), (blocks, err)
+            elif code == 3:
+                assert record is not None, command
+                failed = read_json(os.path.join(out, record))
+                assert failed["status"] == "failed"
+                assert issubclass(getattr(demix.errors,
+                                          failed["error_type"]),
+                                  PipelineError)
+            else:
+                assert code == 0, (command, code, err)
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,6 +488,47 @@ def test_fit_without_lp_solution_records_projection_error(tmp_path,
     assert record["status"] == "failed"
     assert record["error_type"] == "ProjectionError"
     assert "FAILED ProjectionError" in capsys.readouterr().out
+
+
+# (id, model kind, dataset file text, text the error must contain)
+MALFORMED_DATASETS = [
+    ("short_row", "regression", "x,y\n0.1,0.2\n0.3\n", "line 3"),
+    ("blank_line_regression", "regression", "x,y\n0.1,0.2\n\n0.3,0.4\n",
+     "line 3"),
+    ("blank_line_mixture", "mixture", "y\n0.1\n\n0.3\n", "line 3"),
+    ("third_column", "regression", "x,y\n0.1,0.2,0.5\n", "line 2"),
+    ("wrong_header", "regression", "a,b\n1,2\n", "expected header 'x,y'"),
+    ("mixture_header", "regression", "y\n0.1\n", "expected header 'x,y'"),
+    ("empty_file", "mixture", "", "expected header 'y'"),
+    ("no_rows", "mixture", "y\n", "no data rows"),
+    ("not_a_number", "regression", "x,y\n0.1,abc\n",
+     "line 2: not a number"),
+    ("nan", "regression", "x,y\n0.0,1.0\nnan,2.0\n", "line 3: non-finite"),
+    ("infinite_regression", "regression", "x,y\n0.0,1.0\n0.5,inf\n",
+     "line 3: non-finite"),
+    ("infinite", "mixture", "y\n0.0\n1.0\n-inf\n", "line 4: non-finite"),
+]
+
+
+@pytest.mark.parametrize("kind, text, named",
+                         [case[1:] for case in MALFORMED_DATASETS],
+                         ids=[case[0] for case in MALFORMED_DATASETS])
+def test_malformed_dataset_exits_2_naming_file_and_line(tmp_path, capsys,
+                                                        kind, text, named):
+    out = str(tmp_path / "out")
+    model_obj = (crossing_lines_obj() if kind == "regression"
+                 else box_mixture_obj())
+    spec = write_spec(tmp_path / "exp.json", model_obj, [400], [0], out=out)
+    os.makedirs(out)
+    path = os.path.join(out, "dataset_n400_seed0.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    commands = (("fit-regression", "find-sep") if kind == "regression"
+                else ("fit-mixture",))
+    for command in commands:
+        assert main([command, "--spec", spec]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err and named in err, err
 
 
 def test_fit_missing_dataset_names_seed(tmp_path, capsys):

@@ -141,7 +141,7 @@ def gap_dataset() -> Dataset:
                         rng.uniform(0.3, 1.0, n - n // 2)])
     comp = rng.random(n) < 0.6
     y = np.where(comp, 1.0, -1.0) + 0.15 * rng.standard_normal(n)
-    return Dataset(x, y, seed=7, model_id="gap")
+    return Dataset(x, y, seed=7)
 
 
 def test_pooled_fit_matches_serial_loop(monkeypatch):

@@ -1,6 +1,5 @@
 """Tests for mixed-regression estimation and separation-point search."""
 
-import csv
 import json
 import math
 
@@ -58,7 +57,7 @@ def alternating_dataset(n, lo=0.0, hi=1.0, levels=(-2.0, 2.0)):
     """Deterministic two-level dataset with evenly spread covariates."""
     x = np.linspace(lo, hi, n)
     y = np.where(np.arange(n) % 2 == 0, levels[0], levels[1])
-    return Dataset(x, y, seed=0, model_id="direct")
+    return Dataset(x, y, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +80,7 @@ def gap_fit():
     ])
     comp = rng.random(n) < 0.6
     y = np.where(comp, 1.0, -1.0) + 0.15 * rng.standard_normal(n)
-    data = Dataset(x, y, seed=7, model_id="gap")
+    data = Dataset(x, y, seed=7)
     fit = fit_mixed_regression(
         data, 2, 0.15, x0=0.9,
         bandwidth=BandwidthSchedule.fixed(0.05), n_x_grid=21)
@@ -459,20 +458,6 @@ def test_regression_fit_json_round_trip(gap_fit):
         assert (math.isnan(u) and math.isnan(v)) or u == v
     assert back.mixture.lambdas_hat == fit.mixture.lambdas_hat
     assert back.diagnostics == fit.diagnostics
-
-
-def test_regression_fit_csv(tmp_path, gap_fit):
-    _, fit = gap_fit
-    path = tmp_path / "fit.csv"
-    fit.to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "m1", "m2", "residual"]
-    assert len(rows) == 1 + len(fit.x_grid)
-    assert float(rows[1][0]) == fit.x_grid[0]
-    assert float(rows[1][1]) == fit.m_hat[0][0]
-    nan_row = 1 + list(fit.interpolated).index(True)
-    assert math.isnan(float(rows[nan_row][3]))
 
 
 # ---------------------------------------------------------------------------
