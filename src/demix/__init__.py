@@ -75,6 +75,7 @@ from .errors import (
     InsufficientDataError,
     PipelineError,
     ProjectionError,
+    ProjectionWarning,
     ThresholdTooHighError,
     UnderResolutionError,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "ProjectionConfig",
     "ProjectionError",
     "ProjectionResult",
+    "ProjectionWarning",
     "RegressionCurve",
     "RegressionFit",
     "ThresholdTooHighError",

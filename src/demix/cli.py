@@ -503,49 +503,61 @@ def cmd_eval(spec: ExperimentSpec, out: str,
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _flags(*specs) -> argparse.ArgumentParser:
+    """A parent parser holding the flags ``(name, options)``."""
+    group = argparse.ArgumentParser(add_help=False)
+    for name, options in specs:
+        group.add_argument(name, **options)
+    return group
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", help="experiment JSON file")
-    common.add_argument("--out", help="output directory "
-                                      "(defaults to the spec's 'out')")
-    common.add_argument("--seeds", help="comma-separated seed list, "
-                                        "overrides the spec")
-    common.add_argument("--threads", type=int, default=1,
-                        help="concurrent seeds (default 1)")
-    common.add_argument("--acceptance", action="store_true",
-                        help="apply acceptance thresholds in eval")
-    common.add_argument("--K", type=int, help="override component count")
-    common.add_argument("--sigma", type=float,
-                        help="override the Gaussian blur scale")
-    common.add_argument("--L", type=int, help="projection atom count")
-    common.add_argument("--M", type=float,
-                        help="projection atom-grid half-width")
-    common.add_argument("--delta", type=float,
-                        help="manual smoothing width")
-    common.add_argument("--threshold", type=float,
-                        help="manual denoising threshold")
-    common.add_argument("--auto-schedule", action="store_true",
-                        help="force the automatic denoise schedule")
-    common.add_argument("--bandwidth-exp", type=float,
-                        help="power-law bandwidth exponent")
-    common.add_argument("--bandwidth-c", type=float,
-                        help="power-law bandwidth constant")
+    """Each command takes only the flags it reads; any other exits 2."""
+    spec = _flags(("--spec", {"help": "experiment JSON file"}))
+    out = _flags(
+        ("--out", {"help": "output directory (defaults to the spec's "
+                           "'out')"}),
+        ("--seeds", {"help": "comma-separated seed list, overrides the "
+                             "spec"}))
+    threads = _flags(("--threads", {"type": int, "default": 1,
+                                    "help": "concurrent seeds (default 1)"}))
+    acceptance = _flags(("--acceptance", {
+        "action": "store_true", "help": "apply acceptance thresholds"}))
+    k = _flags(("--K", {"type": int, "help": "override component count"}))
+    fit = _flags(
+        ("--sigma", {"type": float,
+                     "help": "override the Gaussian blur scale"}),
+        ("--L", {"type": int, "help": "projection atom count"}),
+        ("--M", {"type": float, "help": "projection atom-grid half-width"}),
+        ("--delta", {"type": float, "help": "manual smoothing width"}),
+        ("--threshold", {"type": float,
+                         "help": "manual denoising threshold"}),
+        ("--auto-schedule", {"action": "store_true",
+                             "help": "force the automatic denoise "
+                                     "schedule"}))
+    bandwidth = _flags(
+        ("--bandwidth-exp", {"type": float,
+                             "help": "power-law bandwidth exponent"}),
+        ("--bandwidth-c", {"type": float,
+                           "help": "power-law bandwidth constant"}))
 
     parser = argparse.ArgumentParser(
         prog="demix",
         description="Mixture and mixed-regression estimation harness.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common],
-                   help="write dataset CSVs and a manifest")
-    sub.add_parser("fit-mixture", parents=[common],
-                   help="fit the mixture pipeline per seed")
-    sub.add_parser("fit-regression", parents=[common],
-                   help="fit the regression pipeline per seed")
-    sub.add_parser("find-sep", parents=[common],
-                   help="scan for the separation point per seed")
-    sub.add_parser("eval", parents=[common],
-                   help="aggregate stored fits into a report")
-    demo = sub.add_parser("demo-nonident", parents=[common],
+    for command, parents, text in (
+            ("simulate", [spec, out, threads],
+             "write dataset CSVs and a manifest"),
+            ("fit-mixture", [spec, out, threads, k, fit, bandwidth],
+             "fit the mixture pipeline per seed"),
+            ("fit-regression", [spec, out, threads, k, fit, bandwidth],
+             "fit the regression pipeline per seed"),
+            ("find-sep", [spec, out, threads, k, bandwidth],
+             "scan for the separation point per seed"),
+            ("eval", [spec, out, acceptance],
+             "aggregate stored fits into a report")):
+        sub.add_parser(command, parents=parents, help=text)
+    demo = sub.add_parser("demo-nonident", parents=[out, threads],
                           help="run a non-identifiability demonstration")
     demo.add_argument("variant",
                       choices=["equal_weights_regression",
@@ -557,8 +569,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    threads = getattr(args, "threads", 1)
     try:
-        if args.threads < 1:
+        if threads < 1:
             raise ValueError("--threads must be at least 1")
         if args.command == "demo-nonident":
             out = args.out
@@ -572,19 +585,19 @@ def main(argv=None) -> int:
             from . import demos
             demo = {"equal_weights_regression": demos.equal_weights,
                     "near_nonregular_mixture": demos.near_nonregular}
-            demo[args.variant](out, args.n, seeds, args.threads)
+            demo[args.variant](out, args.n, seeds, threads)
             return EXIT_OK
 
         spec = _load_spec(args)
         out = _out_dir(spec, args)
         if args.command == "simulate":
-            return cmd_simulate(spec, out, args.threads)
+            return cmd_simulate(spec, out, threads)
         if args.command == "fit-mixture":
-            return cmd_fit(spec, out, args.threads, "mixture")
+            return cmd_fit(spec, out, threads, "mixture")
         if args.command == "fit-regression":
-            return cmd_fit(spec, out, args.threads, "regression")
+            return cmd_fit(spec, out, threads, "regression")
         if args.command == "find-sep":
-            return cmd_find_sep(spec, out, args.threads)
+            return cmd_find_sep(spec, out, threads)
         return cmd_eval(spec, out, args.acceptance)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

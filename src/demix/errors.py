@@ -2,7 +2,8 @@
 
 Argument and state validation raises plain ValueError.  The exceptions here
 mark data-dependent failures of an otherwise valid run, so callers (and the
-CLI exit-code mapping) can tell the two apart.
+CLI exit-code mapping) can tell the two apart.  The warnings here mark a
+stage that went on with a result it could not vouch for.
 """
 
 
@@ -32,3 +33,7 @@ class DegenerateComponentError(PipelineError):
 
 class InsufficientDataError(PipelineError):
     """Too few samples to run the requested scan."""
+
+
+class ProjectionWarning(UserWarning):
+    """The projection linear program stopped short of optimality."""

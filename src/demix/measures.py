@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, hstack, vstack
 
-from .errors import ProjectionError
+from .errors import ProjectionError, ProjectionWarning
 
 WEIGHT_TOL = 1e-12
 GRID_NORM_TOL = 1e-3
@@ -520,7 +521,8 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
     Returns ``(w, objective, optimal)``.  The absolute residuals are lifted
     to auxiliary variables, giving a plain LP solved by HiGHS; the objective
     is evaluated on the full dense design.  Raises ``ProjectionError`` when
-    HiGHS returns no solution, for example on hitting ``maxiter``.
+    HiGHS returns no solution, for example on hitting ``maxiter``, and warns
+    with ``ProjectionWarning`` when it returns one short of optimal.
     """
     n_grid, n_atoms = design.shape
     rows, cols = np.nonzero(np.abs(design) > HIGHS_SMALL_MATRIX_VALUE)
@@ -546,6 +548,10 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
             f"HiGHS returned no solution (status {res.status}: "
             f"{res.message})"
         )
+    if res.status != 0:
+        warnings.warn(f"HiGHS stopped short of optimal (status "
+                      f"{res.status}: {res.message})", ProjectionWarning,
+                      stacklevel=2)
     w = np.maximum(res.x[:n_atoms], 0.0)
     total = w.sum()
     if total > 0:

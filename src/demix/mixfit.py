@@ -100,10 +100,11 @@ class DenoiseConfig:
 
     def __post_init__(self):
         if self.schedule not in ("auto", "manual"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+            raise ValueError(f"schedule must be 'auto' or 'manual', "
+                             f"got {self.schedule!r}")
         if self.schedule == "manual":
             if self.delta is None or self.t is None:
-                raise ValueError("manual schedule needs delta and t")
+                raise ValueError("schedule 'manual' needs delta and t")
         for name in ("delta", "t"):
             v = getattr(self, name)
             if v is not None:
@@ -208,8 +209,9 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
     weights are optimized, so the discretized objective
     ``||sum_l w_l phi_sigma(. - a_l) - p_hat||_1`` is a linear program.
     A solve that ends with a solution short of optimality is flagged as not
-    converged; one that ends without any solution (scipy gives none when
-    HiGHS stops on ``max_iters``) raises ``ProjectionError``.
+    converged and warns with ``ProjectionWarning``; one that ends without
+    any solution (scipy gives none when HiGHS stops on ``max_iters``)
+    raises ``ProjectionError``.
     """
     require_positive_finite(sigma, "sigma")
     if not p_hat.normalized:

@@ -46,8 +46,13 @@ from .synth import Dataset, MixedRegressionModel
 MAX_GRID_AXES = 3
 X_GRID_POINTS = 101
 SEP_MIN_WINDOW_FACTOR = 5
-# Each refinement level shrinks the search box around the incumbent by this.
+# Each refinement level shrinks the candidate spacing by this.
 MDE_SHRINK = 0.2
+# Candidates per axis at each refinement level (at most coarse_grid).
+MDE_REFINE_POINTS = 13
+# Finest grid spacing, as a fraction of B, whose candidates near +-B are
+# still distinct doubles.
+MDE_MIN_RESOLUTION = 2.0 ** -50
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +66,14 @@ class MdeConfig:
     The box bound ``B`` defaults to 1.1 times the largest absolute
     response when resolved by the fitting pipeline.  The solver sweeps a
     coarse grid of ``coarse_grid`` points per axis over [-B, B]^K, then
-    runs ``refine_levels`` passes that shrink the box by the constant
-    ``MDE_SHRINK`` (0.2) around the incumbent.  Full grid enumeration
+    runs ``refine_levels`` passes around the incumbent.  Level ``l``
+    keeps the lattice of a ``coarse_grid``-point grid over a box of
+    half-width ``B * MDE_SHRINK**l`` (spacing ``2 B 0.2**l /
+    (coarse_grid - 1)``) but sweeps only the ``MDE_REFINE_POINTS`` (13)
+    candidates around the incumbent, or all ``coarse_grid`` when fewer.
+    The minimizer the previous level brackets lies within one of its
+    spacings of the incumbent, five of this level's, inside the window
+    of +-6.  Windows are clipped to [-B, B].  Full grid enumeration
     covers K <= 3 and returns the
     lexicographically smallest minimizer of the sampled grid; higher K
     requires ``mode="coordinate"``, a greedy axis-at-a-time search whose
@@ -82,13 +93,25 @@ class MdeConfig:
             raise ValueError("coarse_grid must be at least 3")
         if self.refine_levels < 0:
             raise ValueError("refine_levels must be nonnegative")
+        if self.resolution() < MDE_MIN_RESOLUTION:
+            raise ValueError(
+                f"refine_levels={self.refine_levels} with coarse_grid="
+                f"{self.coarse_grid} refines to a spacing of "
+                f"{self.resolution():.3g} B, below 2**-50 B, where "
+                f"neighbouring candidates near +-B are no longer distinct")
         if self.mode not in ("grid", "coordinate"):
-            raise ValueError(f"unknown mde mode {self.mode!r}")
+            raise ValueError(f"mode must be 'grid' or 'coordinate', "
+                             f"got {self.mode!r}")
 
     def resolution(self) -> float:
         """Final per-axis grid spacing as a fraction of B."""
         half = MDE_SHRINK ** self.refine_levels
         return 2.0 * half / (self.coarse_grid - 1)
+
+    def candidates(self) -> list:
+        """Candidates per axis at each level, level 0 first."""
+        refine = min(self.coarse_grid, MDE_REFINE_POINTS)
+        return [self.coarse_grid] + [refine] * self.refine_levels
 
 
 # ---------------------------------------------------------------------------
@@ -322,26 +345,39 @@ def _sweep_coordinate(ctx: MdeContext, target, banks, axes, theta):
     return theta, best_obj
 
 
+def _refine_axes(cfg: MdeConfig, level: int, centers) -> list:
+    """Candidates per axis of refinement level ``level`` >= 1.
+
+    The spacing is that of ``coarse_grid`` points over a box of half-width
+    ``B * MDE_SHRINK**level``; the window holds ``cfg.candidates()[level]``
+    of them around each center, clipped to [-B, B].
+    """
+    # Repeated products, not MDE_SHRINK**level: a grid of at most
+    # MDE_REFINE_POINTS points then sweeps the shrunk box bit for bit.
+    half = cfg.B
+    for _ in range(level):
+        half *= MDE_SHRINK
+    count = cfg.candidates()[level]
+    half *= (count - 1) / (cfg.coarse_grid - 1)
+    return [_axis_candidates(c, half, cfg.B, count) for c in centers]
+
+
 def _minimize_l1(p_hat: GridDensity, ctx: MdeContext):
     """Shared minimum-distance solver over the box [-B, B]^K."""
     cfg = ctx.cfg
     k = ctx.lambdas.size
     target = ctx.target(p_hat)
 
-    def level_axes(level, centers, half):
-        if level == 0:
-            return ctx.axes0
-        return [_axis_candidates(centers[j], half, cfg.B, cfg.coarse_grid)
-                for j in range(k)]
+    def level_axes(level, centers):
+        return ctx.axes0 if level == 0 else _refine_axes(cfg, level, centers)
 
     # Banks go straight into each sweep, so one level's banks are freed
     # before the next level builds its own.
     if cfg.mode == "grid":
         theta = None
-        half = cfg.B
         best_obj = math.inf
         for level in range(cfg.refine_levels + 1):
-            axes = level_axes(level, theta, half)
+            axes = level_axes(level, theta)
             cand_theta, cand_obj = _sweep_full_grid(target, ctx.quad,
                                                     ctx.banks(axes), axes)
             if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
@@ -350,20 +386,17 @@ def _minimize_l1(p_hat: GridDensity, ctx: MdeContext):
             elif theta is None:
                 best_obj = cand_obj
                 theta = cand_theta
-            half *= MDE_SHRINK
         return tuple(float(v) for v in theta), float(best_obj)
 
     # Coordinate descent: full-box sweeps first so every axis sees the
     # whole range, then shrinking local refinement.
     theta = np.zeros(k)
-    half = cfg.B
     best_obj = math.inf
     for level in range(cfg.refine_levels + 1):
         for _ in range(2):  # two passes per level so axes can interact
-            axes = level_axes(level, theta, half)
+            axes = level_axes(level, theta)
             theta, best_obj = _sweep_coordinate(ctx, target, ctx.banks(axes),
                                                 axes, theta)
-        half *= MDE_SHRINK
     return tuple(float(v) for v in theta), float(best_obj)
 
 
@@ -581,6 +614,7 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     diagnostics = {
         "h": h, "n": n, "B": mde_cfg.B, "n_local_x0": n_local,
         "mde_resolution": mde_cfg.resolution() * mde_cfg.B,
+        "mde_candidates": mde_cfg.candidates(),
     }
     return RegressionFit(
         x_grid=tuple(float(v) for v in xs),

@@ -101,6 +101,19 @@ def _parse_config(cls, obj, name: str) -> dict:
             for key, value in obj.items()}
 
 
+def _build_config(cls, obj, name: str):
+    """The settings dataclass ``cls`` built from the spec block ``name``.
+
+    The settings classes start each ``ValueError`` with the field at
+    fault, so the message names it as ``name.field``.
+    """
+    kwargs = _parse_config(cls, obj, name)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name}.{exc}") from None
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: a generating model, sample sizes, seeds, settings.
@@ -155,7 +168,7 @@ class ExperimentSpec:
         unknown = set(configs) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        settings = {key: cfg_cls(**_parse_config(cfg_cls, configs[key], key))
+        settings = {key: _build_config(cfg_cls, configs[key], key)
                     for key, cfg_cls in (("projection", ProjectionConfig),
                                          ("denoise", DenoiseConfig),
                                          ("mde", MdeConfig))
@@ -189,27 +202,29 @@ class ExperimentSpec:
 
 def _apply_overrides(spec: ExperimentSpec,
                      args: argparse.Namespace) -> ExperimentSpec:
-    """Fold command-line flags into the loaded spec."""
+    """Fold command-line flags into the loaded spec; a command lacks the
+    flags it does not read."""
+    flag = vars(args).get
     updates = {}
-    if args.seeds is not None:
+    if flag("seeds") is not None:
         updates["seeds"] = _parse_seeds(args.seeds, "--seeds")
-    if args.K is not None:
+    if flag("K") is not None:
         if args.K < 1:
             raise ValueError("--K must be at least 1")
         updates["k"] = args.K
-    if args.sigma is not None:
+    if flag("sigma") is not None:
         if not 0 < args.sigma < math.inf:
             raise ValueError("--sigma must be positive")
         updates["sigma"] = args.sigma
 
-    proj_kw = {key: value for key, value in (("L", args.L), ("M", args.M))
-               if value is not None}
+    proj_kw = {key: flag(key) for key in ("L", "M")
+               if flag(key) is not None}
     if proj_kw:
         updates["projection"] = dataclasses.replace(
             spec.projection or ProjectionConfig(), **proj_kw)
 
-    if (args.delta is not None or args.threshold is not None
-            or args.auto_schedule):
+    if (flag("delta") is not None or flag("threshold") is not None
+            or flag("auto_schedule")):
         base = spec.denoise or DenoiseConfig()
         delta = args.delta if args.delta is not None else base.delta
         t = args.threshold if args.threshold is not None else base.t
@@ -217,9 +232,9 @@ def _apply_overrides(spec: ExperimentSpec,
         updates["denoise"] = DenoiseConfig(schedule=schedule,
                                            delta=delta, t=t)
 
-    bw_kw = {key: value for key, value in (("c", args.bandwidth_c),
-                                           ("exponent", args.bandwidth_exp))
-             if value is not None}
+    bw_kw = {key: flag(name) for key, name in (("c", "bandwidth_c"),
+                                               ("exponent", "bandwidth_exp"))
+             if flag(name) is not None}
     if bw_kw:
         updates["bandwidth"] = BandwidthSchedule.power_law(**bw_kw)
 

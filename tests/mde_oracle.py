@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from demix.regfit import MDE_SHRINK
+from demix.regfit import MDE_REFINE_POINTS, MDE_SHRINK
 
 
 def extended_target(p_hat, b_bound):
@@ -44,6 +44,17 @@ def axis_candidates(center, half, b_bound, count):
     lo = max(center - half, -b_bound)
     hi = min(center + half, b_bound)
     return np.linspace(lo, hi, count)
+
+
+def level_axis(center, half, level, cfg):
+    """Level 0 spans the box with coarse_grid points; later levels keep
+    the spacing of a coarse_grid-point box of half-width ``half`` with at
+    most MDE_REFINE_POINTS points around ``center``."""
+    if level == 0:
+        return axis_candidates(0.0, half, cfg.B, cfg.coarse_grid)
+    count = min(cfg.coarse_grid, MDE_REFINE_POINTS)
+    half = half * ((count - 1) / (cfg.coarse_grid - 1))
+    return axis_candidates(center, half, cfg.B, count)
 
 
 def sweep_full_grid(pts, target, quad, f_hats, lambdas, axes):
@@ -105,8 +116,8 @@ def minimize_l1(p_hat, lambdas, f_hats, cfg):
         half = cfg.B
         centers = np.zeros(k)
         best_obj = math.inf
-        for _level in range(cfg.refine_levels + 1):
-            axes = [axis_candidates(centers[j], half, cfg.B, cfg.coarse_grid)
+        for level in range(cfg.refine_levels + 1):
+            axes = [level_axis(centers[j], half, level, cfg)
                     for j in range(k)]
             cand_theta, cand_obj = sweep_full_grid(
                 pts, target, quad, f_hats, lambdas, axes)
@@ -125,8 +136,7 @@ def minimize_l1(p_hat, lambdas, f_hats, cfg):
     best_obj = math.inf
     for level in range(cfg.refine_levels + 1):
         for _ in range(2):
-            axes = [axis_candidates(0.0 if level == 0 else theta[j],
-                                    half, cfg.B, cfg.coarse_grid)
+            axes = [level_axis(theta[j], half, level, cfg)
                     for j in range(k)]
             theta, best_obj = sweep_coordinate(
                 pts, target, quad, f_hats, lambdas, axes, theta)

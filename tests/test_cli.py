@@ -181,6 +181,8 @@ REJECTED_SPECS = [
      "projection.max_iters"),
     ("coarse_grid_bool", {"configs": {"mde": {"coarse_grid": True}}},
      "mde.coarse_grid"),
+    ("refine_levels_past_doubles",
+     {"configs": {"mde": {"refine_levels": 20}}}, "mde.refine_levels"),
 ]
 
 
@@ -283,9 +285,39 @@ def test_generated_settings_exit_cleanly(blocks):
 def test_repeated_seed_flag_exits_2(tmp_path, capsys, argv):
     spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(), [30],
                       [0])
-    assert main(argv + ["--spec", spec, "--out", str(tmp_path / "out")]) == 2
+    if argv[0] != "demo-nonident":  # the demos read no spec
+        argv = argv + ["--spec", spec]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "--seeds" in capsys.readouterr().err
     assert not list(tmp_path.glob("out/*"))
+
+
+# (argv, a flag the command does not read)
+STRAY_FLAGS = [
+    (["simulate"], ["--L", "80"]),
+    (["fit-mixture"], ["--acceptance"]),
+    (["fit-regression"], ["--acceptance"]),
+    (["find-sep"], ["--sigma", "0.5"]),
+    (["eval"], ["--threads", "8"]),
+    (["demo-nonident", "equal_weights_regression", "--n", "200"],
+     ["--spec", "exp.json"]),
+]
+
+
+@pytest.mark.parametrize("argv, stray", STRAY_FLAGS,
+                         ids=[argv[0] for argv, _ in STRAY_FLAGS])
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv,
+                                                stray):
+    spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(), [100],
+                      [0])
+    if argv[0] != "demo-nonident":
+        argv = argv + ["--spec", spec]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + stray + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(stray)}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @settings(max_examples=40, deadline=None)

@@ -130,6 +130,44 @@ def test_context_rejects_other_inputs():
 
 
 # ---------------------------------------------------------------------------
+# refinement schedule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("coarse", [3, 9, 13])
+def test_small_grid_refines_over_the_whole_shrunk_box(coarse):
+    # With at most MDE_REFINE_POINTS candidates per axis, level l sweeps
+    # all coarse_grid points of the box of half-width B * 0.2**l.
+    b_bound = 1.7
+    cfg = MdeConfig(B=b_bound, coarse_grid=coarse, refine_levels=4)
+    centers = (-1.69, 0.123, 1.0)
+    half = b_bound
+    for level in range(1, 5):
+        half *= regfit.MDE_SHRINK
+        axes = regfit._refine_axes(cfg, level, centers)
+        for c, axis in zip(centers, axes):
+            want = np.linspace(max(c - half, -b_bound),
+                               min(c + half, b_bound), coarse)
+            assert np.array_equal(axis, want)
+
+
+def test_default_grid_refines_on_the_coarse_lattice():
+    # 61 points: each level keeps the spacing of a 61-point box of
+    # half-width B * 0.2**l but sweeps only the 13 around the center.
+    cfg = MdeConfig(B=1.5)
+    assert regfit.MDE_REFINE_POINTS == 13
+    assert cfg.candidates() == [61, 13, 13, 13]
+    for level in range(1, 4):
+        (axis,) = regfit._refine_axes(cfg, level, (0.3,))
+        assert axis.size == 13
+        step = (axis[-1] - axis[0]) / 12
+        assert step == pytest.approx(2 * 1.5 * 0.2 ** level / 60, rel=1e-12)
+        assert axis[6] == pytest.approx(0.3, abs=1e-15)
+    # The last level's spacing is still the resolution the config reports.
+    assert cfg.resolution() == pytest.approx(2 * 0.2 ** 3 / 60, rel=1e-12)
+    assert step == pytest.approx(cfg.resolution() * 1.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # pooled per-x solves == serial loop
 # ---------------------------------------------------------------------------
 

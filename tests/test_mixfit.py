@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import demix.measures
 from demix.errors import (
     DegenerateComponentError,
     InsufficientDataError,
     ProjectionError,
+    ProjectionWarning,
     ThresholdTooHighError,
     UnderResolutionError,
 )
@@ -162,6 +164,25 @@ def test_fit_without_lp_solution_raises_projection_error():
     with pytest.raises(ProjectionError, match="no solution"):
         fit_vanilla_mixture(samples, 2, 0.25,
                             cfg=ProjectionConfig(max_iters=1))
+
+
+def test_project_short_of_optimal_warns(monkeypatch):
+    # HiGHS can stop with a feasible iterate (status 1: iteration limit).
+    real_linprog = demix.measures.linprog
+
+    def short_linprog(*args, **kwargs):
+        res = real_linprog(*args, **kwargs)
+        res.status, res.message = 1, "Iteration limit reached."
+        return res
+
+    monkeypatch.setattr(demix.measures, "linprog", short_linprog)
+    grid = GridSpec(-6.0, 6.0, 512)
+    p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
+    with pytest.warns(ProjectionWarning, match="status 1"):
+        res = project_to_gaussian_mixture(p_hat, 0.25,
+                                          ProjectionConfig(L=41, M=4.0))
+    assert not res.converged
+    assert res.measure.weights.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,17 @@ def test_mde_config_validation():
         MdeConfig(B=1.0, mode="annealing")
 
 
+def test_mde_config_bounds_refine_levels():
+    # Past a spacing of 2**-50 B, neighbouring candidates near +-B are no
+    # longer distinct doubles: 2 * 0.2**20 / 60 is below it, 0.2**22 too.
+    assert MdeConfig(B=1.0, refine_levels=19).resolution() >= 2.0 ** -50
+    with pytest.raises(ValueError, match="refine_levels"):
+        MdeConfig(B=1.0, refine_levels=20)
+    MdeConfig(B=1.0, coarse_grid=3, refine_levels=21)
+    with pytest.raises(ValueError, match="refine_levels"):
+        MdeConfig(B=1.0, coarse_grid=3, refine_levels=22)
+
+
 def test_regression_fit_validation():
     mix = _exact_mixture(0.95)
     xs = (0.0, 0.5, 1.0)
@@ -440,6 +451,13 @@ def test_fit_interpolates_empty_windows(gap_fit):
         assert np.allclose(row[flags], filled, atol=1e-12)
     # The two solved components sit near the generating levels +-1.
     assert np.allclose(sorted(m[:, 0]), [-1.0, 1.0], atol=0.15)
+
+
+def test_fit_diagnostics_record_mde_schedule(gap_fit):
+    _, fit = gap_fit
+    assert fit.diagnostics["mde_candidates"] == [61, 13, 13, 13]
+    assert MdeConfig(coarse_grid=9, refine_levels=2).candidates() == [9, 9, 9]
+    assert MdeConfig(refine_levels=0).candidates() == [61]
 
 
 # ---------------------------------------------------------------------------
