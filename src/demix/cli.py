@@ -10,7 +10,8 @@ file. A typical session:
     demix demo-nonident equal_weights_regression --out runs/demo
 
 The experiment file is JSON holding a type-tagged generating model plus
-optional estimator settings; ``demix.spec`` parses and checks it:
+optional estimator settings under ``configs``, the only place the commands
+read estimator settings from; ``demix.spec`` parses and checks it:
 
     {
       "model": {"type": "mixed_regression", ...},
@@ -27,6 +28,12 @@ optional estimator settings; ``demix.spec`` parses and checks it:
       },
       "out": "runs/exp"
     }
+
+The ``mde``, ``x0``, ``n_x_grid`` and ``window`` settings apply only to a
+mixed-regression model. Every fit uses the model's own component count
+and noise scale. The flags choose only what runs and where: ``--spec``,
+``--out``, ``--seeds``, ``--threads`` and ``--acceptance``, plus the
+demos' variant and ``--n``.
 
 Dataset CSVs are written by ``_atomic_write_rows`` and read back only by
 ``_load_dataset``.  ``demo-nonident`` runs the demonstrations in ``demos``.
@@ -153,7 +160,7 @@ def _load_dataset(out: str, n: int, seed: int, kind: str):
         raise ValueError(f"{path} line {finite.argmin() + 2}: "
                          f"non-finite value")
     if kind == "regression":
-        return Dataset(values[:, 0].copy(), values[:, 1].copy(), seed)
+        return Dataset(values[:, 0].copy(), values[:, 1].copy())
     return values.ravel()
 
 
@@ -310,13 +317,13 @@ def cmd_fit(spec: ExperimentSpec, out: str, threads: int,
         with _recording(record):
             if kind == "regression":
                 fit = fit_mixed_regression(
-                    data, spec.k, spec.sigma, x0=spec.x0, a=model.a,
+                    data, model.k, model.sigma, x0=spec.x0, a=model.a,
                     b=model.b, bandwidth=spec.bandwidth,
                     proj_cfg=spec.projection, denoise=spec.denoise,
                     mde_cfg=spec.mde, n_x_grid=spec.n_x_grid)
                 _write_regression_plot(plot, fit, model)
             else:
-                fit = fit_vanilla_mixture(data, spec.k, spec.sigma,
+                fit = fit_vanilla_mixture(data, model.k, model.sigma,
                                           cfg=spec.projection,
                                           denoise=spec.denoise,
                                           bandwidth=spec.bandwidth)
@@ -345,7 +352,7 @@ def cmd_find_sep(spec: ExperimentSpec, out: str, threads: int) -> int:
         record = {"n": n, "seed": seed, "window": window}
         with _recording(record):
             x_star, profile = find_separation_point(
-                data, spec.k, window, a=model.a, b=model.b)
+                data, model.k, window, a=model.a, b=model.b)
             record.update(x_star=x_star,
                           profile=[[x, s] for x, s in profile])
         _atomic_write_json(os.path.join(out, f"sep_n{n}_seed{seed}.json"),
@@ -523,23 +530,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "help": "concurrent seeds (default 1)"}))
     acceptance = _flags(("--acceptance", {
         "action": "store_true", "help": "apply acceptance thresholds"}))
-    k = _flags(("--K", {"type": int, "help": "override component count"}))
-    fit = _flags(
-        ("--sigma", {"type": float,
-                     "help": "override the Gaussian blur scale"}),
-        ("--L", {"type": int, "help": "projection atom count"}),
-        ("--M", {"type": float, "help": "projection atom-grid half-width"}),
-        ("--delta", {"type": float, "help": "manual smoothing width"}),
-        ("--threshold", {"type": float,
-                         "help": "manual denoising threshold"}),
-        ("--auto-schedule", {"action": "store_true",
-                             "help": "force the automatic denoise "
-                                     "schedule"}))
-    bandwidth = _flags(
-        ("--bandwidth-exp", {"type": float,
-                             "help": "power-law bandwidth exponent"}),
-        ("--bandwidth-c", {"type": float,
-                           "help": "power-law bandwidth constant"}))
 
     parser = argparse.ArgumentParser(
         prog="demix",
@@ -548,11 +538,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, parents, text in (
             ("simulate", [spec, out, threads],
              "write dataset CSVs and a manifest"),
-            ("fit-mixture", [spec, out, threads, k, fit, bandwidth],
+            ("fit-mixture", [spec, out, threads],
              "fit the mixture pipeline per seed"),
-            ("fit-regression", [spec, out, threads, k, fit, bandwidth],
+            ("fit-regression", [spec, out, threads],
              "fit the regression pipeline per seed"),
-            ("find-sep", [spec, out, threads, k, bandwidth],
+            ("find-sep", [spec, out, threads],
              "scan for the separation point per seed"),
             ("eval", [spec, out, acceptance],
              "aggregate stored fits into a report")):
@@ -588,7 +578,7 @@ def main(argv=None) -> int:
             demo[args.variant](out, args.n, seeds, threads)
             return EXIT_OK
 
-        spec = _load_spec(args)
+        spec = _load_spec(args.spec, args.seeds)
         out = _out_dir(spec, args)
         if args.command == "simulate":
             return cmd_simulate(spec, out, threads)

@@ -62,8 +62,13 @@ class ProjectionConfig:
     """Controls the L¹ projection onto finite Gaussian mixtures.
 
     ``L`` and ``M`` default to None and are resolved by the fitting
-    pipeline: L = ceil(sqrt(n)) atoms, M = 1.1 times the largest absolute
-    response, so the atom grid [-M, M] strictly contains the data hull.
+    pipeline: L = ceil(sqrt(n)) atoms, and M by one of two rules.
+    ``fit_vanilla_mixture`` takes M = 1.1 times the largest absolute
+    sample, so the atom grid [-M, M] strictly contains the data hull.
+    ``fit_mixture_from_density``, and with it ``fit_mixed_regression``,
+    takes M = 1.1 times the larger absolute end of the density grid; the
+    fitters' grid (``response_grid``) pads the responses by the larger of
+    6 sigma and the bandwidth, so this M is wider than the first rule's.
     ``max_iters`` caps the HiGHS iterations; the feasibility tolerance is
     fixed at ``measures.LP_FEASIBILITY_TOL``.
     """

@@ -6,7 +6,6 @@ naming the key, so a malformed spec fails before any work starts.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import math
@@ -17,8 +16,9 @@ from .regfit import X_GRID_POINTS, MdeConfig
 from .synth import MixedRegressionModel, VanillaMixtureModel
 
 _SPEC_KEYS = {"model", "n", "seeds", "configs", "out"}
-_CONFIG_KEYS = {"bandwidth", "projection", "denoise", "mde",
-                "x0", "n_x_grid", "window"}
+_REGRESSION_CONFIG_KEYS = {"mde", "x0", "n_x_grid", "window"}
+_CONFIG_KEYS = {"bandwidth", "projection", "denoise",
+                *_REGRESSION_CONFIG_KEYS}
 _TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string"}
 
 
@@ -118,15 +118,13 @@ def _build_config(cls, obj, name: str):
 class ExperimentSpec:
     """One experiment: a generating model, sample sizes, seeds, settings.
 
-    ``k`` and ``sigma`` default to the model's own values; command-line
-    flags may override any field for misspecification studies.
+    Every fit uses the model's own component count and noise scale; the
+    settings fields are the only estimator settings a command uses.
     """
 
     model: object
     n_values: tuple
     seeds: tuple
-    k: int
-    sigma: float
     bandwidth: BandwidthSchedule | None = None
     projection: ProjectionConfig | None = None
     denoise: DenoiseConfig | None = None
@@ -168,6 +166,10 @@ class ExperimentSpec:
         unknown = set(configs) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        regression_only = set(configs) & _REGRESSION_CONFIG_KEYS
+        if regression_only and not isinstance(model, MixedRegressionModel):
+            raise ValueError(f"config keys {sorted(regression_only)} apply "
+                             f"only to a mixed_regression model")
         settings = {key: _build_config(cfg_cls, configs[key], key)
                     for key, cfg_cls in (("projection", ProjectionConfig),
                                          ("denoise", DenoiseConfig),
@@ -191,8 +193,6 @@ class ExperimentSpec:
             model=model,
             n_values=tuple(sorted(n_values)),
             seeds=_parse_seeds(seeds, "seeds"),
-            k=model.k,
-            sigma=model.sigma,
             x0=x0,
             window=window,
             out=out,
@@ -200,59 +200,22 @@ class ExperimentSpec:
         )
 
 
-def _apply_overrides(spec: ExperimentSpec,
-                     args: argparse.Namespace) -> ExperimentSpec:
-    """Fold command-line flags into the loaded spec; a command lacks the
-    flags it does not read."""
-    flag = vars(args).get
-    updates = {}
-    if flag("seeds") is not None:
-        updates["seeds"] = _parse_seeds(args.seeds, "--seeds")
-    if flag("K") is not None:
-        if args.K < 1:
-            raise ValueError("--K must be at least 1")
-        updates["k"] = args.K
-    if flag("sigma") is not None:
-        if not 0 < args.sigma < math.inf:
-            raise ValueError("--sigma must be positive")
-        updates["sigma"] = args.sigma
-
-    proj_kw = {key: flag(key) for key in ("L", "M")
-               if flag(key) is not None}
-    if proj_kw:
-        updates["projection"] = dataclasses.replace(
-            spec.projection or ProjectionConfig(), **proj_kw)
-
-    if (flag("delta") is not None or flag("threshold") is not None
-            or flag("auto_schedule")):
-        base = spec.denoise or DenoiseConfig()
-        delta = args.delta if args.delta is not None else base.delta
-        t = args.threshold if args.threshold is not None else base.t
-        schedule = "auto" if args.auto_schedule else "manual"
-        updates["denoise"] = DenoiseConfig(schedule=schedule,
-                                           delta=delta, t=t)
-
-    bw_kw = {key: flag(name) for key, name in (("c", "bandwidth_c"),
-                                               ("exponent", "bandwidth_exp"))
-             if flag(name) is not None}
-    if bw_kw:
-        updates["bandwidth"] = BandwidthSchedule.power_law(**bw_kw)
-
-    return dataclasses.replace(spec, **updates) if updates else spec
-
-
-def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if not args.spec:
+def _load_spec(path: str | None, seeds: str | None) -> ExperimentSpec:
+    """The spec in file ``path``, its seeds replaced by the ``--seeds``
+    text when that is given."""
+    if not path:
         raise ValueError("this command needs --spec <file>")
     try:
-        with open(args.spec) as fh:
+        with open(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"spec file {args.spec}: invalid JSON ({exc})")
+        raise ValueError(f"spec file {path}: invalid JSON ({exc})")
     try:
         spec = ExperimentSpec.from_json_obj(obj)
     except KeyError as exc:
-        raise ValueError(f"spec file {args.spec}: missing key {exc}") from None
+        raise ValueError(f"spec file {path}: missing key {exc}") from None
     except TypeError as exc:
-        raise ValueError(f"spec file {args.spec}: {exc}") from None
-    return _apply_overrides(spec, args)
+        raise ValueError(f"spec file {path}: {exc}") from None
+    if seeds is None:
+        return spec
+    return dataclasses.replace(spec, seeds=_parse_seeds(seeds, "--seeds"))

@@ -9,8 +9,7 @@ regression curves: a response follows a randomly chosen curve plus noise.
 Model ingredients are closed-form specs (not arbitrary callables) so that
 every model serializes to JSON and every experiment can be replayed.
 Sampling uses numpy's Philox generator, a counter-based scheme whose streams
-are reproducible across platforms; the seed travels with the sampled
-``Dataset``.
+are reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -551,11 +550,10 @@ class VanillaMixtureModel:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Covariate/response pairs plus the seed that generated them."""
+    """Covariate/response pairs."""
 
     x: np.ndarray
     y: np.ndarray
-    seed: int
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -604,7 +602,7 @@ def sample_mixed_regression(model: MixedRegressionModel, n: int,
     noise = model.sigma * rng.standard_normal(n)
     curves = model.curve_values(x)
     y = curves[comp, np.arange(n)] + shift + noise
-    return Dataset(x, y, seed)
+    return Dataset(x, y)
 
 
 def sample_vanilla_mixture(model: VanillaMixtureModel, n: int,

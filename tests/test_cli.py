@@ -5,14 +5,17 @@ suite exercises argument parsing, the batch runners, and artifact formats
 without subprocess overhead.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import math
 import os
+import re
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,12 +129,6 @@ def test_missing_out_dir_is_validation_error(tmp_path):
     assert main(["simulate", "--spec", spec]) == 2
 
 
-def test_manual_denoise_flag_needs_both_numbers(tmp_path):
-    spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(),
-                      [100], [0], out=str(tmp_path / "out"))
-    assert main(["fit-regression", "--spec", spec, "--delta", "0.3"]) == 2
-
-
 # (id, changes to a valid regression spec, text the error must contain)
 REJECTED_SPECS = [
     ("model_without_a",
@@ -201,6 +198,24 @@ def test_malformed_spec_exits_2_naming_the_key(tmp_path, capsys, changes,
         assert code == 2, f"{command} returned {code}"
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err, err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mde", {"B": 0.001, "coarse_grid": 5}),
+    ("x0", 123.0),
+    ("n_x_grid", 3),
+    ("window", 9.0),
+])
+def test_mixture_spec_rejects_regression_settings(tmp_path, capsys, key,
+                                                  value):
+    out = tmp_path / "out"
+    spec = write_spec(tmp_path / "exp.json", box_mixture_obj(), [400], [0],
+                      configs={key: value}, out=str(out))
+    for command in ("simulate", "fit-mixture"):
+        assert main([command, "--spec", spec]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err, err
+    assert not out.exists()
 
 
 SETTINGS_BLOCKS = {"bandwidth": BandwidthSchedule,
@@ -301,11 +316,33 @@ STRAY_FLAGS = [
     (["eval"], ["--threads", "8"]),
     (["demo-nonident", "equal_weights_regression", "--n", "200"],
      ["--spec", "exp.json"]),
+    # The former estimator-settings flags; the spec's configs replace them.
+    (["fit-regression"], ["--K", "2"]),
+    (["fit-mixture"], ["--sigma", "0.25"]),
+    (["fit-regression"], ["--L", "80"]),
+    (["fit-mixture"], ["--M", "4"]),
+    (["fit-regression"], ["--delta", "0.3"]),
+    (["fit-mixture"], ["--threshold", "0.2"]),
+    (["fit-regression"], ["--auto-schedule"]),
+    (["fit-regression"], ["--bandwidth-exp", "-0.25"]),
+    (["fit-mixture"], ["--bandwidth-c", "1.0"]),
+    (["find-sep"], ["--K", "2"]),
+    (["find-sep"], ["--bandwidth-exp", "-0.25"]),
+    (["find-sep"], ["--bandwidth-c", "1.0"]),
 ]
 
 
+def _stray_ids(rows) -> list:
+    """A command's first row is named by the command, later ones by the
+    command and the flag."""
+    ids = []
+    for argv, stray in rows:
+        ids.append(argv[0] if argv[0] not in ids else argv[0] + stray[0])
+    return ids
+
+
 @pytest.mark.parametrize("argv, stray", STRAY_FLAGS,
-                         ids=[argv[0] for argv, _ in STRAY_FLAGS])
+                         ids=_stray_ids(STRAY_FLAGS))
 def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv,
                                                 stray):
     spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(), [100],
@@ -318,6 +355,28 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv,
     assert f"unrecognized arguments: {' '.join(stray)}" \
         in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_names_only_flags_a_command_takes():
+    """Every ``--flag`` in the README is taken by some command, except
+    pip's in the install line and the former flags in the table that maps
+    each to its spec setting, which every command must refuse."""
+    commands = next(action for action in cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    taken = {option for command in commands.choices.values()
+             for action in command._actions
+             for option in action.option_strings}
+    named, former = set(), set()
+    for line in README.read_text().splitlines():
+        if line.startswith("pip "):
+            continue
+        flags = re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", line)
+        (former if line.startswith("| `--") else named).update(flags)
+    assert named - taken == set()
+    assert len(former) == 9 and former & taken == set()
 
 
 @settings(max_examples=40, deadline=None)
@@ -581,21 +640,6 @@ def test_fit_command_checks_model_kind(tmp_path):
                        [100], [0], out=str(tmp_path / "out"))
     assert main(["fit-regression", "--spec", spec2]) == 2
     assert main(["find-sep", "--spec", spec2]) == 2
-
-
-def test_flag_overrides_reach_the_pipeline(tmp_path):
-    out = str(tmp_path / "out")
-    spec = write_spec(tmp_path / "exp.json", crossing_lines_obj(),
-                      [400], [0], configs={"x0": 1.0, "n_x_grid": 5},
-                      out=out)
-    assert main(["simulate", "--spec", spec]) == 0
-    code = main(["fit-regression", "--spec", spec,
-                 "--L", "80", "--M", "4", "--auto-schedule",
-                 "--bandwidth-c", "1.0", "--bandwidth-exp", "-0.25",
-                 "--K", "2", "--sigma", "0.2"])
-    assert code == 0
-    record = read_json(os.path.join(out, "fit_regression_n400_seed0.json"))
-    assert record["status"] == "ok"
 
 
 # ---------------------------------------------------------------------------

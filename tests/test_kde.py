@@ -149,7 +149,7 @@ def test_univariate_consistency_trend():
 def test_conditional_single_box():
     # All windowed responses at 0 with h = 1: uniform 1/2 on [-1, 1].
     x = np.linspace(-3.0, 3.0, 61)
-    data = Dataset(x, np.zeros_like(x), seed=0)
+    data = Dataset(x, np.zeros_like(x))
     kde = ConditionalKde(data, BandwidthSchedule.fixed(1.0), a=-3.0, b=3.0)
     grid = GridSpec(-2.0, 2.0, 401)
     est = conditional_density_at(kde, 0.0, grid)
@@ -163,7 +163,7 @@ def test_conditional_two_boxes():
     # Windowed responses {-1, 1} with h = 1/2: boxes of height 1/2 on
     # [-1.5, -0.5] and [0.5, 1.5].
     data = Dataset(np.array([-0.1, 0.1, -2.9, 2.9]),
-                   np.array([-1.0, 1.0, 50.0, -50.0]), seed=0)
+                   np.array([-1.0, 1.0, 50.0, -50.0]))
     kde = ConditionalKde(data, BandwidthSchedule.fixed(0.5), a=-3.0, b=3.0)
     grid = GridSpec(-2.0, 2.0, 801)
     est = conditional_density_at(kde, 0.0, grid)
@@ -176,7 +176,7 @@ def test_conditional_two_boxes():
 
 
 def test_conditional_empty_window():
-    data = Dataset(np.array([-2.0, -1.9, 1.9, 2.0]), np.zeros(4), seed=0)
+    data = Dataset(np.array([-2.0, -1.9, 1.9, 2.0]), np.zeros(4))
     kde = ConditionalKde(data, BandwidthSchedule.fixed(0.05), a=-2.0, b=2.0)
     with pytest.raises(EmptyWindowError):
         conditional_density_at(kde, 0.0, GridSpec(-1.0, 1.0, 11))
@@ -199,7 +199,7 @@ def test_conditional_boundary_clamp():
 
 def test_conditional_window_bookkeeping():
     xs = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    data = Dataset(xs, xs.copy(), seed=0)
+    data = Dataset(xs, xs.copy())
     kde = ConditionalKde(data, BandwidthSchedule.fixed(0.5), a=-1.0, b=1.0)
     # Closed window: |X| <= 0.5 catches -0.5, 0.0, 0.5.
     assert kde.window_count(0.0) == 3
@@ -207,7 +207,7 @@ def test_conditional_window_bookkeeping():
 
 
 def test_conditional_no_interior_rejected():
-    data = Dataset(np.array([0.0, 1.0]), np.zeros(2), seed=0)
+    data = Dataset(np.array([0.0, 1.0]), np.zeros(2))
     with pytest.raises(ValueError):
         ConditionalKde(data, BandwidthSchedule.fixed(0.6), a=0.0, b=1.0)
 

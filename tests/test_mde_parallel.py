@@ -179,7 +179,7 @@ def gap_dataset() -> Dataset:
                         rng.uniform(0.3, 1.0, n - n // 2)])
     comp = rng.random(n) < 0.6
     y = np.where(comp, 1.0, -1.0) + 0.15 * rng.standard_normal(n)
-    return Dataset(x, y, seed=7)
+    return Dataset(x, y)
 
 
 def test_pooled_fit_matches_serial_loop(monkeypatch):

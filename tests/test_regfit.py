@@ -57,7 +57,7 @@ def alternating_dataset(n, lo=0.0, hi=1.0, levels=(-2.0, 2.0)):
     """Deterministic two-level dataset with evenly spread covariates."""
     x = np.linspace(lo, hi, n)
     y = np.where(np.arange(n) % 2 == 0, levels[0], levels[1])
-    return Dataset(x, y, seed=0)
+    return Dataset(x, y)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ def gap_fit():
     ])
     comp = rng.random(n) < 0.6
     y = np.where(comp, 1.0, -1.0) + 0.15 * rng.standard_normal(n)
-    data = Dataset(x, y, seed=7)
+    data = Dataset(x, y)
     fit = fit_mixed_regression(
         data, 2, 0.15, x0=0.9,
         bandwidth=BandwidthSchedule.fixed(0.05), n_x_grid=21)

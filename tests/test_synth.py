@@ -369,7 +369,6 @@ def test_dataset_csv_round_trip(tmp_path):
     with open(path) as fh:
         assert fh.readline() == "x,y\n"
     back = cli._load_dataset(str(tmp_path), 500, 4, "regression")
-    assert back.seed == 4
     np.testing.assert_array_equal(back.x.view(np.int64),
                                   data.x.view(np.int64))
     np.testing.assert_array_equal(back.y.view(np.int64),
@@ -394,11 +393,11 @@ def test_dataset_rejects_non_finite_values(bad):
     good = np.array([0.0, 0.5, 1.0])
     spoiled = np.array([0.0, bad, 1.0])
     with pytest.raises(ValueError, match="^x holds a non-finite value"):
-        Dataset(spoiled, good, seed=0)
+        Dataset(spoiled, good)
     with pytest.raises(ValueError, match="^y holds a non-finite value"):
-        Dataset(good, spoiled, seed=0)
+        Dataset(good, spoiled)
 
 
 def test_dataset_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        Dataset(np.array([1.0, 2.0]), np.array([1.0]), seed=0)
+        Dataset(np.array([1.0, 2.0]), np.array([1.0]))

@@ -154,7 +154,7 @@ def test_conditional_density_matches_argsort_oracle(ys, seed, x):
     rng = np.random.default_rng(seed)
     # Rounded covariates put ties in x as well as in y.
     xs = np.round(rng.uniform(-1.0, 1.0, ys.size), 1)
-    kde = ConditionalKde(Dataset(xs, ys, seed=0),
+    kde = ConditionalKde(Dataset(xs, ys),
                          BandwidthSchedule.fixed(0.4), a=-1.0, b=1.0)
     if kde.window_count(x) == 0:
         return
@@ -165,7 +165,7 @@ def test_conditional_density_matches_argsort_oracle(ys, seed, x):
 
 def test_conditional_density_matches_oracle_on_signed_zeros():
     ys = np.array([0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -0.0, 0.0])
-    kde = ConditionalKde(Dataset(np.zeros(ys.size), ys, seed=0),
+    kde = ConditionalKde(Dataset(np.zeros(ys.size), ys),
                          BandwidthSchedule.fixed(0.5), a=-1.0, b=1.0)
     grid = GridSpec(-2.0, 2.0, 401)
     assert_same_density(conditional_density_at(kde, 0.0, grid),
