@@ -39,7 +39,6 @@ from .synth import (
     VanillaMixtureModel,
     sample_mixed_regression,
     sample_vanilla_mixture,
-    true_conditional_density,
 )
 from .kde import (
     BandwidthSchedule,
@@ -55,7 +54,6 @@ from .mixfit import (
     estimate_components,
     fit_mixture_from_density,
     fit_vanilla_mixture,
-    outlier_mass,
     project_to_gaussian_mixture,
     smooth,
     threshold_partition,
@@ -121,13 +119,11 @@ __all__ = [
     "fit_vanilla_mixture",
     "l1_distance",
     "mde_at_x",
-    "outlier_mass",
     "project_to_gaussian_mixture",
     "sample_mixed_regression",
     "sample_vanilla_mixture",
     "smooth",
     "threshold_partition",
-    "true_conditional_density",
     "univariate_kde",
     "voronoi_extend",
     "wasserstein1",

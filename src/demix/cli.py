@@ -20,7 +20,7 @@ read estimator settings from; ``demix.spec`` parses and checks it:
       "configs": {
         "bandwidth":  {"kind": "power_law", "c": 1.0, "exponent": -0.25},
         "projection": {"L": 142, "M": 7.0},
-        "denoise":    {"schedule": "auto"},
+        "denoise":    {"t": 0.2},
         "mde":        {"B": 2.0},
         "x0": 1.0,
         "n_x_grid": 101,

@@ -25,7 +25,6 @@ values may be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -166,14 +165,12 @@ class GridDensity:
         return (self._lo == other._lo and self._hi == other._hi
                 and self.n_points == other.n_points)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"lo": self._lo, "hi": self._hi, "values": self._values.tolist()}
-        )
+    def to_json_obj(self) -> dict:
+        return {"lo": self._lo, "hi": self._hi,
+                "values": self._values.tolist()}
 
     @classmethod
-    def from_json(cls, text: str, *, normalized=False) -> "GridDensity":
-        obj = json.loads(text)
+    def from_json_obj(cls, obj: dict, *, normalized=False) -> "GridDensity":
         return cls(obj["lo"], obj["hi"], obj["values"], normalized=normalized)
 
     def __repr__(self):
@@ -263,14 +260,13 @@ class DiscreteMeasure:
         wts = self._weights[inside]
         return DiscreteMeasure(self._locations[inside], wts / wts.sum())
 
-    def to_json(self) -> str:
-        atoms = [[float(a), float(w)]
-                 for a, w in zip(self._locations, self._weights)]
-        return json.dumps({"atoms": atoms})
+    def to_json_obj(self) -> dict:
+        return {"atoms": [[float(a), float(w)]
+                          for a, w in zip(self._locations, self._weights)]}
 
     @classmethod
-    def from_json(cls, text: str) -> "DiscreteMeasure":
-        atoms = json.loads(text)["atoms"]
+    def from_json_obj(cls, obj: dict) -> "DiscreteMeasure":
+        atoms = obj["atoms"]
         return cls([a[0] for a in atoms], [a[1] for a in atoms])
 
     def __eq__(self, other):
@@ -328,12 +324,12 @@ class IntervalSet:
     def __len__(self):
         return len(self._intervals)
 
-    def to_json(self) -> str:
-        return json.dumps({"intervals": [list(p) for p in self._intervals]})
+    def to_json_obj(self) -> dict:
+        return {"intervals": [list(p) for p in self._intervals]}
 
     @classmethod
-    def from_json(cls, text: str) -> "IntervalSet":
-        return cls(json.loads(text)["intervals"])
+    def from_json_obj(cls, obj: dict) -> "IntervalSet":
+        return cls(obj["intervals"])
 
     def __eq__(self, other):
         if not isinstance(other, IntervalSet):

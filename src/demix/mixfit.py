@@ -20,7 +20,6 @@ the atom-grid resolution is folded into the transport-distance tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -88,41 +87,30 @@ class ProjectionConfig:
 
 @dataclass(frozen=True)
 class DenoiseConfig:
-    """Smoothing width and threshold, fixed or derived from the fit.
+    """Smoothing width and threshold, each given or derived from the fit.
 
-    On the auto schedule both come from the achieved projection objective
+    A value left unset is derived from the achieved projection objective
     v through d = clip(c * (-log(v + 1e-12))^(-1/2), 1e-3, 1) with the
     plug-in constant c = 1/8: the smoothing width is d^(1/4) and the
     threshold d^(1/2).  The constant keeps the width below the component
     separations this pipeline is expected to resolve (unit-order scales)
     while preserving the schedule shape; the fourth root makes the width
-    insensitive to it otherwise.  A manual schedule pins both numbers.
+    insensitive to it otherwise.  A given value is used as is: a derived
+    threshold whose level set is empty or too fragmented is halved up to
+    ``MAX_THRESHOLD_RETRIES`` times, a given one is never relaxed.
     """
 
-    schedule: str = "auto"
     delta: float | None = None
     t: float | None = None
 
     def __post_init__(self):
-        if self.schedule not in ("auto", "manual"):
-            raise ValueError(f"schedule must be 'auto' or 'manual', "
-                             f"got {self.schedule!r}")
-        if self.schedule == "manual":
-            if self.delta is None or self.t is None:
-                raise ValueError("schedule 'manual' needs delta and t")
         for name in ("delta", "t"):
             v = getattr(self, name)
             if v is not None:
                 require_positive_finite(v, name)
 
-    @classmethod
-    def manual(cls, delta: float, t: float) -> "DenoiseConfig":
-        return cls(schedule="manual", delta=delta, t=t)
-
     def resolve(self, objective: float) -> tuple[float, float]:
         """Concrete (delta, t) given the projection objective."""
-        if self.schedule == "manual":
-            return (self.delta, self.t)
         inner = max(-math.log(objective + 1e-12), 1e-12)
         d = min(max(0.125 * inner ** -0.5, 1e-3), 1.0)
         delta = self.delta if self.delta is not None else d ** 0.25
@@ -176,11 +164,11 @@ class MixtureFit:
             "k": self.k,
             "lambdas_hat": list(self.lambdas_hat),
             "mus_hat": list(self.mus_hat),
-            "f_hats": [json.loads(f.to_json()) for f in self.f_hats],
+            "f_hats": [f.to_json_obj() for f in self.f_hats],
             "cells": [[*map(float, c)] for c in self.cells],
-            "g_hat": json.loads(self.g_hat.to_json()),
+            "g_hat": self.g_hat.to_json_obj(),
             "e_hats": (None if self.e_hats is None else
-                       [json.loads(e.to_json()) for e in self.e_hats]),
+                       [e.to_json_obj() for e in self.e_hats]),
             "diagnostics": self.diagnostics,
         }
 
@@ -191,13 +179,12 @@ class MixtureFit:
             k=obj["k"],
             lambdas_hat=tuple(obj["lambdas_hat"]),
             mus_hat=tuple(obj["mus_hat"]),
-            f_hats=tuple(GridDensity.from_json(json.dumps(f), normalized=True)
+            f_hats=tuple(GridDensity.from_json_obj(f, normalized=True)
                          for f in obj["f_hats"]),
             cells=tuple((float(lo), float(hi)) for lo, hi in obj["cells"]),
-            g_hat=DiscreteMeasure.from_json(json.dumps(obj["g_hat"])),
+            g_hat=DiscreteMeasure.from_json_obj(obj["g_hat"]),
             e_hats=(None if e_hats is None else
-                    tuple(IntervalSet.from_json(json.dumps(e))
-                          for e in e_hats)),
+                    tuple(IntervalSet.from_json_obj(e) for e in e_hats)),
             diagnostics=obj.get("diagnostics", {}),
         )
 
@@ -406,9 +393,9 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
             e_hats = threshold_partition(g_smooth, t, k)
             break
         except (ThresholdTooHighError, UnderResolutionError):
-            # Only the auto schedule relaxes its own threshold; a manual
-            # threshold is the caller's to adjust.
-            if denoise.schedule != "auto" or retries >= MAX_THRESHOLD_RETRIES:
+            # Only a derived threshold is relaxed; a given one is the
+            # caller's to adjust.
+            if denoise.t is not None or retries >= MAX_THRESHOLD_RETRIES:
                 raise
             retries += 1
             t *= 0.5
@@ -475,20 +462,3 @@ def response_grid(y_lo: float, y_hi: float, sigma: float,
     whichever is larger."""
     pad = max(6.0 * sigma, h)
     return GridSpec(y_lo - pad, y_hi + pad, RESPONSE_GRID_POINTS)
-
-
-def outlier_mass(g: DiscreteMeasure, support_pairs, eta: float) -> float:
-    """Mass of atoms farther than ``eta`` from a union of intervals.
-
-    ``support_pairs`` are (lo, hi) with lo == hi allowed for points, so
-    true mixing supports of every kind can be passed directly.
-    """
-    require_positive_finite(eta, "eta")
-    pairs = [(float(lo), float(hi)) for lo, hi in support_pairs]
-    if not pairs or any(hi < lo for lo, hi in pairs):
-        raise ValueError("support must be nonempty intervals with lo <= hi")
-    dist = np.full(g.n_atoms, np.inf)
-    for lo, hi in pairs:
-        d = np.maximum(np.maximum(lo - g.locations, g.locations - hi), 0.0)
-        dist = np.minimum(dist, d)
-    return float(g.weights[dist > eta].sum())

@@ -23,14 +23,13 @@ import itertools
 import math
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EmptyWindowError, InsufficientDataError
-from .kde import BandwidthSchedule, BoundaryWarning, ConditionalKde
+from .kde import BandwidthSchedule, ConditionalKde
 from .measures import (GridDensity, GridSpec, l1_distance,
                        require_positive_finite, trapezoid_weights,
                        widest_gap_bounds)
@@ -43,7 +42,6 @@ from .mixfit import (
 )
 from .synth import Dataset, MixedRegressionModel
 
-MAX_GRID_AXES = 3
 X_GRID_POINTS = 101
 SEP_MIN_WINDOW_FACTOR = 5
 # Each refinement level shrinks the candidate spacing by this.
@@ -53,6 +51,9 @@ MDE_REFINE_POINTS = 13
 # Finest grid spacing, as a fraction of B, whose candidates near +-B are
 # still distinct doubles.
 MDE_MIN_RESOLUTION = 2.0 ** -50
+# Most level-0 candidates one solve may sweep: the K=3 sweep of the
+# default 61-point grid.
+MDE_MAX_SWEEP = 61 ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +74,17 @@ class MdeConfig:
     candidates around the incumbent, or all ``coarse_grid`` when fewer.
     The minimizer the previous level brackets lies within one of its
     spacings of the incumbent, five of this level's, inside the window
-    of +-6.  Windows are clipped to [-B, B].  Full grid enumeration
-    covers K <= 3 and returns the
-    lexicographically smallest minimizer of the sampled grid; higher K
-    requires ``mode="coordinate"``, a greedy axis-at-a-time search whose
-    first level sweeps the full box on every axis.  Coordinate mode is a
-    local method and carries no tie-break guarantee.
+    of +-6.  Windows are clipped to [-B, B].  Every level enumerates
+    the full grid of its candidates and returns the lexicographically
+    smallest minimizer of the sampled grid.  The level-0 sweep visits
+    ``coarse_grid**K`` candidates, which may not exceed ``MDE_MAX_SWEEP``
+    (61**3): ``coarse_grid`` is at most 61 for K = 3, 21 for K = 4 and 11
+    for K = 5 (see ``check_sweep``).
     """
 
     B: float | None = None
     coarse_grid: int = 61
     refine_levels: int = 3
-    mode: str = "grid"
 
     def __post_init__(self):
         if self.B is not None:
@@ -99,9 +99,20 @@ class MdeConfig:
                 f"{self.coarse_grid} refines to a spacing of "
                 f"{self.resolution():.3g} B, below 2**-50 B, where "
                 f"neighbouring candidates near +-B are no longer distinct")
-        if self.mode not in ("grid", "coordinate"):
-            raise ValueError(f"mode must be 'grid' or 'coordinate', "
-                             f"got {self.mode!r}")
+
+    def check_sweep(self, k: int) -> None:
+        """Raise ``ValueError`` naming ``coarse_grid`` when the level-0
+        sweep for K components exceeds ``MDE_MAX_SWEEP`` candidates."""
+        if self.coarse_grid ** k <= MDE_MAX_SWEEP:
+            return
+        largest = round(MDE_MAX_SWEEP ** (1.0 / k))
+        if largest ** k > MDE_MAX_SWEEP:
+            largest -= 1
+        allowed = (f"the largest allowed for K={k} is {largest}"
+                   if largest >= 3 else f"K={k} allows none")
+        raise ValueError(
+            f"coarse_grid={self.coarse_grid} sweeps {self.coarse_grid}**{k} "
+            f"candidates per x for K={k}, more than 61**3; {allowed}")
 
     def resolution(self) -> float:
         """Final per-axis grid spacing as a fraction of B."""
@@ -229,11 +240,7 @@ class MdeContext:
                     "component densities must be flagged normalized")
         if cfg.B is None:
             raise ValueError("MdeConfig.B must be resolved before solving")
-        if cfg.mode == "grid" and k > MAX_GRID_AXES:
-            raise ValueError(
-                f"full-grid enumeration supports K <= {MAX_GRID_AXES}; "
-                f"use MdeConfig(mode='coordinate') for K = {k}"
-            )
+        cfg.check_sweep(k)
         self.grid = grid
         self.lambdas = lambdas
         self.f_hats = tuple(f_hats)
@@ -316,35 +323,6 @@ def _sweep_full_grid(target, quad, banks, axes):
     return np.array(best_theta), best_obj
 
 
-def _sweep_coordinate(ctx: MdeContext, target, banks, axes, theta):
-    """One round of per-axis sweeps holding the other coordinates fixed."""
-    k = len(axes)
-    pts, quad = ctx.pts, ctx.quad
-    shifted = [
-        _shift_bank(pts, ctx.f_hats[j], ctx.lambdas[j],
-                    np.array([theta[j]]))[0]
-        for j in range(k)
-    ]
-    best_obj = float(
-        np.abs(np.sum(shifted, axis=0) - target) @ quad
-    )
-    theta = np.array(theta, dtype=float)
-    for j in range(k):
-        bank = banks[j]
-        others = [shifted[i] for i in range(k) if i != j]
-        rest = np.sum(others, axis=0) if others else np.zeros(pts.size)
-        objs = np.abs(rest[None, :] + bank - target[None, :]) @ quad
-        row_min = float(objs.min())
-        tie = 1e-12 * (1.0 + abs(row_min))
-        idx = int(np.flatnonzero(objs <= row_min + tie)[0])
-        if row_min < best_obj - 1e-12 * (1.0 + abs(best_obj)) or (
-                abs(row_min - best_obj) <= tie and axes[j][idx] < theta[j]):
-            best_obj = float(objs[idx])
-            theta[j] = axes[j][idx]
-            shifted[j] = bank[idx]
-    return theta, best_obj
-
-
 def _refine_axes(cfg: MdeConfig, level: int, centers) -> list:
     """Candidates per axis of refinement level ``level`` >= 1.
 
@@ -365,38 +343,21 @@ def _refine_axes(cfg: MdeConfig, level: int, centers) -> list:
 def _minimize_l1(p_hat: GridDensity, ctx: MdeContext):
     """Shared minimum-distance solver over the box [-B, B]^K."""
     cfg = ctx.cfg
-    k = ctx.lambdas.size
     target = ctx.target(p_hat)
-
-    def level_axes(level, centers):
-        return ctx.axes0 if level == 0 else _refine_axes(cfg, level, centers)
-
-    # Banks go straight into each sweep, so one level's banks are freed
-    # before the next level builds its own.
-    if cfg.mode == "grid":
-        theta = None
-        best_obj = math.inf
-        for level in range(cfg.refine_levels + 1):
-            axes = level_axes(level, theta)
-            cand_theta, cand_obj = _sweep_full_grid(target, ctx.quad,
-                                                    ctx.banks(axes), axes)
-            if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
-                best_obj = cand_obj
-                theta = cand_theta
-            elif theta is None:
-                best_obj = cand_obj
-                theta = cand_theta
-        return tuple(float(v) for v in theta), float(best_obj)
-
-    # Coordinate descent: full-box sweeps first so every axis sees the
-    # whole range, then shrinking local refinement.
-    theta = np.zeros(k)
+    theta = None
     best_obj = math.inf
     for level in range(cfg.refine_levels + 1):
-        for _ in range(2):  # two passes per level so axes can interact
-            axes = level_axes(level, theta)
-            theta, best_obj = _sweep_coordinate(ctx, target, ctx.banks(axes),
-                                                axes, theta)
+        axes = ctx.axes0 if level == 0 else _refine_axes(cfg, level, theta)
+        # The banks go straight into the sweep, so one level's banks are
+        # freed before the next level builds its own.
+        cand_theta, cand_obj = _sweep_full_grid(target, ctx.quad,
+                                                ctx.banks(axes), axes)
+        if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
+            best_obj = cand_obj
+            theta = cand_theta
+        elif theta is None:
+            best_obj = cand_obj
+            theta = cand_theta
     return tuple(float(v) for v in theta), float(best_obj)
 
 
@@ -559,11 +520,11 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     y_grid = response_grid(float(data.y.min()), float(data.y.max()), sigma,
                            h)
 
-    with warnings.catch_warnings():
-        # Boundary x0 is legitimately clamped to x0 +- h.
-        warnings.simplefilter("ignore", BoundaryWarning)
-        x0_used = kde.clamp(x0)
-        p_hat_x0 = kde.conditional_density_at(x0_used, y_grid)
+    # Not kde.clamp: a boundary x0 is expected here and needs no
+    # BoundaryWarning.
+    lo_int, hi_int = kde.interior()
+    x0_used = min(max(float(x0), lo_int), hi_int)
+    p_hat_x0 = kde.conditional_density_at(x0_used, y_grid)
     n_local = kde.window_count(x0_used)
     mixture = fit_mixture_from_density(
         p_hat_x0, k, sigma, cfg=proj_cfg, denoise=denoise, n_hint=n_local
@@ -591,7 +552,6 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
             return None
         return mde_at_x(p_hat_x, lambdas, f_pooled, mde_cfg, context=context)
 
-    lo_int, hi_int = kde.interior()
     xs = np.linspace(lo_int, hi_int, n_x_grid)
     thetas = np.full((n_x_grid, k), math.nan)
     objectives = np.full(n_x_grid, math.nan)

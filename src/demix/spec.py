@@ -175,6 +175,11 @@ class ExperimentSpec:
                                          ("denoise", DenoiseConfig),
                                          ("mde", MdeConfig))
                     if key in configs}
+        if isinstance(model, MixedRegressionModel):
+            try:
+                (settings.get("mde") or MdeConfig()).check_sweep(model.k)
+            except ValueError as exc:
+                raise ValueError(f"mde.{exc}") from None
         if "bandwidth" in configs:
             settings["bandwidth"] = BandwidthSchedule.from_json_obj(
                 _parse_config(BandwidthSchedule, configs["bandwidth"],

@@ -418,21 +418,6 @@ class MixedRegressionModel:
         """The common error density (mean zero) on a grid."""
         return self.g0.error_density(self.sigma, grid)
 
-    def mixing_support_at(self, x: float) -> tuple[tuple[float, float], ...]:
-        """Support of the conditional mixing measure at covariate ``x``."""
-        lo, hi = self.g0.support()
-        vals = self.curve_values(x)
-        return tuple((float(v) + lo, float(v) + hi) for v in vals)
-
-    def conditional_mixing_measure(self, x: float,
-                                   max_spacing: float = 1e-3) -> DiscreteMeasure:
-        """Atoms of the conditional mixing measure at ``x``."""
-        base = self.g0.as_discrete(max_spacing)
-        vals = self.curve_values(x)
-        locs = [base.locations + float(v) for v in vals]
-        wts = [base.weights * lam for lam, v in zip(self.lambdas, vals)]
-        return DiscreteMeasure(np.concatenate(locs), np.concatenate(wts))
-
     def to_json_obj(self) -> dict:
         return {
             "type": "mixed_regression",
@@ -621,14 +606,3 @@ def sample_vanilla_mixture(model: VanillaMixtureModel, n: int,
             shift[mask] = model.gks[j].sample(rng, count)
     noise = model.sigma * rng.standard_normal(n)
     return np.asarray(model.mus)[comp] + shift + noise
-
-
-def true_conditional_density(model: MixedRegressionModel, x: float,
-                             grid: GridSpec) -> GridDensity:
-    """Exact conditional response density at covariate ``x``."""
-    if not model.a <= x <= model.b:
-        raise ValueError(f"x={x:g} outside the domain [{model.a:g}, {model.b:g}]")
-    centers = model.curve_values(x)
-    return _blurred_mixture(grid, model.sigma,
-                            [(lam, float(c), model.g0)
-                             for lam, c in zip(model.lambdas, centers)])

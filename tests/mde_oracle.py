@@ -81,64 +81,26 @@ def sweep_full_grid(pts, target, quad, f_hats, lambdas, axes):
     return np.array(best_theta), best_obj
 
 
-def sweep_coordinate(pts, target, quad, f_hats, lambdas, axes, theta):
-    """One round of per-axis sweeps holding the other coordinates fixed."""
-    k = len(axes)
-    shifted = [
-        shift_bank(pts, f_hats[j], lambdas[j], np.array([theta[j]]))[0]
-        for j in range(k)
-    ]
-    best_obj = float(np.abs(np.sum(shifted, axis=0) - target) @ quad)
-    theta = np.array(theta, dtype=float)
-    for j in range(k):
-        bank = shift_bank(pts, f_hats[j], lambdas[j], axes[j])
-        others = [shifted[i] for i in range(k) if i != j]
-        rest = np.sum(others, axis=0) if others else np.zeros(pts.size)
-        objs = np.abs(rest[None, :] + bank - target[None, :]) @ quad
-        row_min = float(objs.min())
-        tie = 1e-12 * (1.0 + abs(row_min))
-        idx = int(np.flatnonzero(objs <= row_min + tie)[0])
-        if row_min < best_obj - 1e-12 * (1.0 + abs(best_obj)) or (
-                abs(row_min - best_obj) <= tie and axes[j][idx] < theta[j]):
-            best_obj = float(objs[idx])
-            theta[j] = axes[j][idx]
-            shifted[j] = bank[idx]
-    return theta, best_obj
-
-
 def minimize_l1(p_hat, lambdas, f_hats, cfg):
-    """Grid or coordinate minimum-distance solve over [-B, B]^K."""
+    """Minimum-distance solve over [-B, B]^K."""
     lambdas = np.asarray(lambdas, dtype=float)
     k = lambdas.size
     pts, target, quad = extended_target(p_hat, cfg.B)
-    if cfg.mode == "grid":
-        theta = None
-        half = cfg.B
-        centers = np.zeros(k)
-        best_obj = math.inf
-        for level in range(cfg.refine_levels + 1):
-            axes = [level_axis(centers[j], half, level, cfg)
-                    for j in range(k)]
-            cand_theta, cand_obj = sweep_full_grid(
-                pts, target, quad, f_hats, lambdas, axes)
-            if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
-                best_obj = cand_obj
-                theta = cand_theta
-            elif theta is None:
-                best_obj = cand_obj
-                theta = cand_theta
-            centers = theta.copy()
-            half *= MDE_SHRINK
-        return tuple(float(v) for v in theta), float(best_obj)
-
-    theta = np.zeros(k)
+    theta = None
     half = cfg.B
+    centers = np.zeros(k)
     best_obj = math.inf
     for level in range(cfg.refine_levels + 1):
-        for _ in range(2):
-            axes = [level_axis(theta[j], half, level, cfg)
-                    for j in range(k)]
-            theta, best_obj = sweep_coordinate(
-                pts, target, quad, f_hats, lambdas, axes, theta)
+        axes = [level_axis(centers[j], half, level, cfg)
+                for j in range(k)]
+        cand_theta, cand_obj = sweep_full_grid(
+            pts, target, quad, f_hats, lambdas, axes)
+        if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
+            best_obj = cand_obj
+            theta = cand_theta
+        elif theta is None:
+            best_obj = cand_obj
+            theta = cand_theta
+        centers = theta.copy()
         half *= MDE_SHRINK
     return tuple(float(v) for v in theta), float(best_obj)

@@ -30,6 +30,7 @@ from demix.kde import BandwidthSchedule
 from demix.measures import DiscreteMeasure, GridSpec
 from demix.mixfit import DenoiseConfig, ProjectionConfig, estimate_components
 from demix.regfit import MdeConfig, RegressionFit
+from demix.spec import ExperimentSpec
 from demix.synth import (MixedRegressionModel, MixingSpec, RegressionCurve,
                          VanillaMixtureModel)
 
@@ -178,6 +179,12 @@ REJECTED_SPECS = [
      "projection.max_iters"),
     ("coarse_grid_bool", {"configs": {"mde": {"coarse_grid": True}}},
      "mde.coarse_grid"),
+    ("coarse_grid_past_sweep_bound",
+     {"configs": {"mde": {"coarse_grid": 477}}}, "mde.coarse_grid=477"),
+    ("mde_mode", {"configs": {"mde": {"mode": "grid"}}}, "mode"),
+    ("denoise_schedule",
+     {"configs": {"denoise": {"schedule": "manual", "delta": 0.3,
+                              "t": 0.2}}}, "schedule"),
     ("refine_levels_past_doubles",
      {"configs": {"mde": {"refine_levels": 20}}}, "mde.refine_levels"),
 ]
@@ -198,6 +205,33 @@ def test_malformed_spec_exits_2_naming_the_key(tmp_path, capsys, changes,
         assert code == 2, f"{command} returned {code}"
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err, err
+
+
+def test_four_component_spec_bounds_the_mde_grid(tmp_path, capsys):
+    # 61**4 level-0 candidates per x exceed the 61**3 bound: every command
+    # exits 2 naming mde.coarse_grid and its largest value for K=4, 21.
+    model = MixedRegressionModel(
+        a=-1.0, b=1.0, lambdas=(0.1, 0.2, 0.3, 0.4),
+        m=(RegressionCurve.line(0.5, -3.0), RegressionCurve.line(-0.5, -1.0),
+           RegressionCurve.line(0.5, 1.0), RegressionCurve.line(-0.5, 3.0)),
+        sigma=0.2, g0=MixingSpec.point_mass(), x0=0.0)
+    out = tmp_path / "out"
+    spec = write_spec(tmp_path / "exp.json", model.to_json_obj(), [20000],
+                      [0], configs={"n_x_grid": 1}, out=str(out))
+    for command in ("simulate", "fit-regression", "find-sep", "eval"):
+        assert main([command, "--spec", spec]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: mde.coarse_grid=61 ") \
+            and err.rstrip().endswith("is 21"), err
+    assert not out.exists()
+    spec = write_spec(tmp_path / "exp.json", model.to_json_obj(), [20000],
+                      [0], configs={"n_x_grid": 1,
+                                    "mde": {"coarse_grid": 21}},
+                      out=str(out))
+    assert main(["simulate", "--spec", spec]) == 0
+    assert main(["fit-regression", "--spec", spec]) == 0
+    fit = read_json(out / "fit_regression_n20000_seed0.json")
+    assert fit["fit"]["diagnostics"]["mde_candidates"] == [21, 13, 13, 13]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -222,8 +256,7 @@ SETTINGS_BLOCKS = {"bandwidth": BandwidthSchedule,
                    "projection": ProjectionConfig,
                    "denoise": DenoiseConfig, "mde": MdeConfig}
 # Valid text for the settings that take text, besides their defaults.
-SETTING_TEXT = {"kind": ["fixed"], "schedule": ["manual"],
-                "mode": ["coordinate"]}
+SETTING_TEXT = {"kind": ["fixed"]}
 # Wrongly typed, fractional, boolean, NaN, infinite and negative values,
 # and small whole numbers, one written as a float, that a fit may reject.
 BAD_SETTING = st.sampled_from([True, False, None, "1", [1], 0.5, 2.5, 10.5,
@@ -377,6 +410,24 @@ def test_readme_names_only_flags_a_command_takes():
         (former if line.startswith("| `--") else named).update(flags)
     assert named - taken == set()
     assert len(former) == 9 and former & taken == set()
+
+
+def test_readme_specs_load():
+    """The README's example spec loads, and so does it with each
+    ``configs`` fragment of the mapping table's new-setting column."""
+    text = README.read_text()
+    example = json.loads(re.search(r"```json\n(.*?)```", text,
+                                   re.S).group(1))
+    ExperimentSpec.from_json_obj(example)
+    table = text[text.index("| Former flag or setting |"):]
+    rows = table[:table.index("\n\n")].splitlines()[2:]
+    fragments = [json.loads("{" + code + "}") for row in rows
+                 for code in re.findall(r"`([^`]*)`", row.split("|")[2])
+                 if code.startswith('"')]
+    assert len(fragments) == 7
+    for fragment in fragments:
+        ExperimentSpec.from_json_obj(
+            {**example, "configs": {**example["configs"], **fragment}})
 
 
 @settings(max_examples=40, deadline=None)

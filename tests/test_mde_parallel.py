@@ -62,13 +62,12 @@ def random_problem(seed: int, k: int):
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]),
-       mode=st.sampled_from(["grid", "coordinate"]))
-def test_solver_matches_oracle(seed, k, mode):
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]))
+def test_solver_matches_oracle(seed, k):
     p_hat, lambdas, f_hats, b_bound = random_problem(seed, k)
     coarse = {1: 61, 2: 31, 3: 9}[k]
     cfg = MdeConfig(B=b_bound, coarse_grid=coarse,
-                    refine_levels=seed % 4, mode=mode)
+                    refine_levels=seed % 4)
     want = minimize_l1(p_hat, lambdas, f_hats, cfg)
     assert mde_at_x(p_hat, lambdas, f_hats, cfg) == want
     pooled = minimize_l1(p_hat, lambdas, [f_hats[0]] * k, cfg)

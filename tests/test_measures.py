@@ -70,9 +70,10 @@ def test_measure_mass_and_restrict_use_half_open_cells():
 
 def test_measure_json_round_trip():
     m = DiscreteMeasure([-1.5, 0.25], [0.4, 0.6])
-    again = DiscreteMeasure.from_json(m.to_json())
+    again = DiscreteMeasure.from_json_obj(m.to_json_obj())
     assert again == m
-    assert json.loads(m.to_json()) == {"atoms": [[-1.5, 0.4], [0.25, 0.6]]}
+    assert json.loads(json.dumps(m.to_json_obj())) \
+        == {"atoms": [[-1.5, 0.4], [0.25, 0.6]]}
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_grid_density_validation():
 
 def test_grid_density_json_round_trip():
     d = GridDensity(-1.0, 1.0, [0.0, 1.0, 0.0])
-    again = GridDensity.from_json(d.to_json())
+    again = GridDensity.from_json_obj(d.to_json_obj())
     assert again.same_grid(d)
     assert np.array_equal(again.values, d.values)
 

@@ -1,5 +1,6 @@
 """Tests for the project-smooth-denoise mixture estimator."""
 
+import dataclasses
 import json
 import math
 
@@ -33,13 +34,13 @@ from demix.mixfit import (
     estimate_components,
     fit_mixture_from_density,
     fit_vanilla_mixture,
-    outlier_mass,
     project_to_gaussian_mixture,
     smooth,
     threshold_partition,
     voronoi_extend,
 )
 from demix.synth import MixingSpec, VanillaMixtureModel, sample_vanilla_mixture
+from truth_oracle import outlier_mass
 
 
 def gaussian_pair_density(weights, centers, sigma, grid):
@@ -88,19 +89,17 @@ def test_projection_config_validation():
 
 
 def test_denoise_config_validation_and_resolve():
+    assert [f.name for f in dataclasses.fields(DenoiseConfig)] \
+        == ["delta", "t"]
     with pytest.raises(ValueError):
-        DenoiseConfig(schedule="manual")
-    with pytest.raises(ValueError):
-        DenoiseConfig(schedule="bogus")
-    with pytest.raises(ValueError):
-        DenoiseConfig.manual(delta=-0.1, t=0.5)
+        DenoiseConfig(delta=-0.1, t=0.5)
     # objective e^-4 gives d = (1/8)(1/2) = 1/16, so delta = 1/2, t = 1/4.
     delta, t = DenoiseConfig().resolve(math.exp(-4.0))
     assert delta == pytest.approx(0.5, abs=1e-9)
     assert t == pytest.approx(0.25, abs=1e-9)
     # objective near 1 clips d at 1.
     assert DenoiseConfig().resolve(0.9999) == (1.0, 1.0)
-    assert DenoiseConfig.manual(0.2, 0.05).resolve(0.5) == (0.2, 0.05)
+    assert DenoiseConfig(0.2, 0.05).resolve(0.5) == (0.2, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +482,18 @@ def test_manual_threshold_fails_without_retry():
     ys = sample_vanilla_mixture(model, 5_000, seed=6)
     with pytest.raises(ThresholdTooHighError):
         fit_vanilla_mixture(ys, 2, 0.25,
-                            denoise=DenoiseConfig.manual(0.5, 50.0))
-    # The auto schedule retries its way down instead.
+                            denoise=DenoiseConfig(delta=0.5, t=50.0))
+    # A derived threshold retries its way down instead.
     fit = fit_vanilla_mixture(ys, 2, 0.25)
     assert fit.diagnostics["threshold_retries"] <= 5
+
+
+def test_given_threshold_is_never_relaxed():
+    # Given alone, with the width derived, the threshold still stands: the
+    # error names 50, not a halved value.
+    ys = sample_vanilla_mixture(two_bump_model(), 5_000, seed=6)
+    with pytest.raises(ThresholdTooHighError, match=r"\{g > 50\}"):
+        fit_vanilla_mixture(ys, 2, 0.25, denoise=DenoiseConfig(t=50.0))
 
 
 def test_fit_from_density_needs_n_hint_for_default_l():
@@ -583,7 +590,7 @@ def test_non_finite_settings_are_rejected_by_name(value):
     with pytest.raises(ValueError, match="^delta "):
         DenoiseConfig(delta=value)
     with pytest.raises(ValueError, match="^t "):
-        DenoiseConfig.manual(0.2, value)
+        DenoiseConfig(0.2, value)
     ys = sample_vanilla_mixture(two_bump_model(), 400, seed=1)
     with pytest.raises(ValueError, match="^sigma "):
         fit_vanilla_mixture(ys, 2, value)

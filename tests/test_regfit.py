@@ -1,7 +1,10 @@
 """Tests for mixed-regression estimation and separation-point search."""
 
+import dataclasses
 import json
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demix.errors import InsufficientDataError
-from demix.kde import BandwidthSchedule
+from demix.kde import BandwidthSchedule, ConditionalKde
 from demix.measures import (
     DiscreteMeasure,
     GridDensity,
@@ -31,8 +34,8 @@ from demix.synth import (
     MixingSpec,
     RegressionCurve,
     sample_mixed_regression,
-    true_conditional_density,
 )
+from truth_oracle import true_conditional_density
 
 Y_SPEC = GridSpec(-6.0, 6.0, 2048)
 Y_PTS = Y_SPEC.points()
@@ -101,8 +104,8 @@ def test_mde_config_validation():
         MdeConfig(B=1.0, coarse_grid=2)
     with pytest.raises(ValueError):
         MdeConfig(B=1.0, refine_levels=-1)
-    with pytest.raises(ValueError):
-        MdeConfig(B=1.0, mode="annealing")
+    assert [f.name for f in dataclasses.fields(MdeConfig)] \
+        == ["B", "coarse_grid", "refine_levels"]
 
 
 def test_mde_config_bounds_refine_levels():
@@ -189,28 +192,31 @@ def test_mde_input_validation():
         mde_at_x(p, (1.0,), f, MdeConfig())  # B unresolved
 
 
-def test_mde_four_components_needs_coordinate_mode():
+def test_mde_sweep_bound_names_the_largest_coarse_grid():
+    # At most 61**3 level-0 candidates per x: the default 61 points per
+    # axis reach it at K=3, and K=4 allows 21, K=5 11.
     p = blur_density([-3.0, -1.0, 1.0, 3.0], [0.25] * 4, 0.25)
     f = blur_density([0.0], [1.0], 0.25)
-    with pytest.raises(ValueError, match="coordinate"):
+    with pytest.raises(ValueError,
+                       match=r"^coarse_grid=61 .*K=4 is 21$"):
         mde_at_x(p, (0.25,) * 4, f, MdeConfig(B=3.5))
+    MdeConfig(coarse_grid=61).check_sweep(3)
+    MdeConfig(coarse_grid=21).check_sweep(4)
+    with pytest.raises(ValueError, match=r"^coarse_grid=12 .*K=5 is 11$"):
+        MdeConfig(coarse_grid=12).check_sweep(5)
 
 
-def test_mde_coordinate_mode():
+def test_mde_four_components_grid():
+    # Distinct weights: the full-grid sweep recovers each curve value at
+    # its own position.
     f = blur_density([0.0], [1.0], 0.25)
-    # Asymmetric pair: full-box first sweep must escape the greedy trap.
-    p2 = blur_density([-1.5, 1.5], [0.3, 0.7], 0.25)
-    cfg2 = MdeConfig(B=2.0, mode="coordinate")
-    theta2, obj2 = mde_at_x(p2, (0.3, 0.7), f, cfg2)
-    assert abs(theta2[0] + 1.5) <= cfg2.resolution() * 2.0
-    assert abs(theta2[1] - 1.5) <= cfg2.resolution() * 2.0
-    assert obj2 <= 1e-2
-    # K=4 equal weights: recovered support matches as a set.
-    p4 = blur_density([-3.0, -1.0, 1.0, 3.0], [0.25] * 4, 0.25)
-    cfg4 = MdeConfig(B=3.5, mode="coordinate")
-    theta4, obj4 = mde_at_x(p4, (0.25,) * 4, f, cfg4)
-    assert np.allclose(np.sort(theta4), [-3.0, -1.0, 1.0, 3.0], atol=5e-3)
-    assert obj4 <= 1e-2
+    lambdas = (0.1, 0.2, 0.3, 0.4)
+    centers = (1.0, -3.0, 3.0, -1.0)
+    p = blur_density(centers, lambdas, 0.25)
+    cfg = MdeConfig(B=3.5, coarse_grid=21)
+    theta, obj = mde_at_x(p, lambdas, f, cfg)
+    assert theta == pytest.approx(centers, abs=cfg.resolution() * 3.5)
+    assert obj <= 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +420,48 @@ def test_fit_deterministic():
     assert a.per_x_objective == b.per_x_objective
     assert a.x0_used == b.x0_used
     assert a.mixture.lambdas_hat == b.mixture.lambdas_hat
+
+
+def test_concurrent_fits_leave_the_warning_filters_alone(monkeypatch):
+    # Two fits clamp a boundary x0 on two threads whose x0 steps overlap,
+    # the first ending before the second.  A fit that swapped the
+    # process-wide filter list around that step would leave the second
+    # fit's copy, with BoundaryWarning silenced, in place.
+    data = sample_mixed_regression(crossing_lines_model(), 2000, seed=0)
+    a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+    original = ConditionalKde.conditional_density_at
+
+    def at_x0(kde, x, grid):
+        # Only the fit threads' own call, the x0 density, waits.
+        name = threading.current_thread().name
+        if name == "fit-a":
+            a_inside.set()
+            b_inside.wait(30)
+        elif name == "fit-b":
+            b_inside.set()
+            a_done.wait(30)
+        return original(kde, x, grid)
+
+    def fit_a():
+        fit_mixed_regression(data, 2, 0.2, x0=1.0, a=-1, b=1, n_x_grid=3)
+        a_done.set()
+
+    monkeypatch.setattr(ConditionalKde, "conditional_density_at", at_x0)
+    before = list(warnings.filters)
+    try:
+        first = threading.Thread(target=fit_a, name="fit-a")
+        first.start()
+        assert a_inside.wait(30)
+        second = threading.Thread(
+            target=fit_mixed_regression, name="fit-b", args=(data, 2, 0.2),
+            kwargs=dict(x0=1.0, a=-1, b=1, n_x_grid=3))
+        second.start()
+        first.join(60)
+        second.join(60)
+        assert a_done.is_set() and not second.is_alive()
+        assert warnings.filters == before
+    finally:
+        warnings.filters[:] = before
 
 
 def test_fit_rejects_empty_x_grid():

@@ -17,8 +17,8 @@ from demix.synth import (
     VanillaMixtureModel,
     sample_mixed_regression,
     sample_vanilla_mixture,
-    true_conditional_density,
 )
+from truth_oracle import conditional_mixing_measure, true_conditional_density
 
 
 def crossing_lines_model(**overrides):
@@ -202,7 +202,7 @@ def test_model_json_round_trip():
 
 def test_conditional_mixing_measure():
     model = crossing_lines_model()
-    mix = model.conditional_mixing_measure(1.0)
+    mix = conditional_mixing_measure(model, 1.0)
     # Point-mass errors: atoms exactly at the curve values, curve weights.
     target = {(-1.0, 0.65), (1.0, 0.35)}
     got = {(float(l), float(w)) for l, w in zip(mix.locations, mix.weights)}
