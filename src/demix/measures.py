@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix, hstack, vstack
+from scipy.sparse import csr_matrix, hstack, identity, vstack
 
 from .errors import ProjectionError, ProjectionWarning
 
@@ -501,6 +501,14 @@ def _sorted_box_mixture_density(locs, wts, half_width: float,
 # Sparse helpers for the projection LP live here so mixfit stays free of
 # scipy.sparse plumbing.
 
+# The projection LP in equality form: each residual r_i = (design @ w -
+# target)_i is split as u_i - v_i with u, v >= 0, so the grid contributes
+# one equality row design_i @ w - u_i + v_i = target_i, and the simplex
+# adds the row sum(w) = 1.  That is n_grid + 1 rows, half the 2 n_grid + 1
+# of the inequality form |r_i| <= t_i, and each residual costs quad_i on
+# both u_i and v_i; at an optimum one of the two is zero, so the cost is
+# the quad-weighted L1 residual.
+#
 # HiGHS ignores every constraint-matrix entry with |a| <= small_matrix_value
 # (default 1e-9) when it loads a model.  Leaving those entries out of the
 # sparse matrix gives HiGHS the same model without building, copying and
@@ -514,28 +522,29 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
                    quad_weights: np.ndarray, maxiter: int = 5000):
     """Minimize ||design @ w - target||_{1,quad} over the simplex.
 
-    Returns ``(w, objective, optimal)``.  The absolute residuals are lifted
-    to auxiliary variables, giving a plain LP solved by HiGHS; the objective
-    is evaluated on the full dense design.  Raises ``ProjectionError`` when
-    HiGHS returns no solution, for example on hitting ``maxiter``, and warns
-    with ``ProjectionWarning`` when it returns one short of optimal.
+    Returns ``(w, objective, optimal, iterations)``, the last the HiGHS
+    iteration count.  The residuals are split into nonnegative parts,
+    design @ w - target = u - v, which HiGHS solves as the equality rows
+    ``[design, -I, I] @ (w, u, v) = target`` plus ``sum(w) = 1`` at cost
+    ``quad_weights`` on both u and v; the objective is evaluated on the
+    full dense design.  Raises ``ProjectionError`` when HiGHS returns no
+    solution, for example on hitting ``maxiter``, and warns with
+    ``ProjectionWarning`` when it returns one short of optimal.
     """
     n_grid, n_atoms = design.shape
     rows, cols = np.nonzero(np.abs(design) > HIGHS_SMALL_MATRIX_VALUE)
     a_sparse = csr_matrix((design[rows, cols], (rows, cols)),
                           shape=design.shape)
-    eye = csr_matrix((np.ones(n_grid), (range(n_grid), range(n_grid))),
-                     shape=(n_grid, n_grid))
-    a_ub = vstack([hstack([a_sparse, -eye]), hstack([-a_sparse, -eye])],
-                  format="csr")
-    b_ub = np.concatenate([target, -target])
-    cost = np.concatenate([np.zeros(n_atoms), quad_weights])
-    a_eq = csr_matrix(
+    eye = identity(n_grid, format="csr")
+    simplex = csr_matrix(
         (np.ones(n_atoms), (np.zeros(n_atoms, dtype=int), range(n_atoms))),
-        shape=(1, n_atoms + n_grid),
+        shape=(1, n_atoms + 2 * n_grid),
     )
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=(0, None), method="highs",
+    a_eq = vstack([hstack([a_sparse, -eye, eye]), simplex], format="csr")
+    b_eq = np.append(target, 1.0)
+    cost = np.concatenate([np.zeros(n_atoms), quad_weights, quad_weights])
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs",
                   options={"maxiter": int(maxiter),
                            "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
                            "dual_feasibility_tolerance": LP_FEASIBILITY_TOL})
@@ -553,4 +562,4 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
     if total > 0:
         w = w / total
     objective = float(quad_weights @ np.abs(design @ w - target))
-    return w, objective, res.status == 0
+    return w, objective, res.status == 0, int(res.nit)

@@ -120,11 +120,13 @@ class DenoiseConfig:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Projected mixing measure plus solve metadata."""
+    """Projected mixing measure plus solve metadata: the HiGHS status and
+    iteration count."""
 
     measure: DiscreteMeasure
     objective: float
     converged: bool
+    iterations: int
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
         design[:, j] = gaussian_blur_values(
             np.array([a]), np.array([1.0]), sigma, pts
         )
-    w, objective, optimal = weighted_l1_lp(
+    w, objective, optimal, iterations = weighted_l1_lp(
         design, p_hat.values, p_hat.trapezoid_weights(),
         maxiter=cfg.max_iters,
     )
@@ -227,7 +229,7 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
     if not np.any(keep):
         keep = w == w.max()
     measure = DiscreteMeasure(atoms[keep], w[keep] / w[keep].sum())
-    return ProjectionResult(measure, objective, optimal)
+    return ProjectionResult(measure, objective, optimal, iterations)
 
 
 def smooth(g: DiscreteMeasure, delta: float, eval_grid: GridSpec
@@ -407,6 +409,7 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
     diagnostics = {
         "objective": proj.objective,
         "converged": proj.converged,
+        "lp_iterations": proj.iterations,
         "delta": delta,
         "t_initial": t0,
         "t": t,

@@ -78,8 +78,10 @@ class MdeConfig:
     the full grid of its candidates and returns the lexicographically
     smallest minimizer of the sampled grid.  The level-0 sweep visits
     ``coarse_grid**K`` candidates, which may not exceed ``MDE_MAX_SWEEP``
-    (61**3): ``coarse_grid`` is at most 61 for K = 3, 21 for K = 4 and 11
-    for K = 5 (see ``check_sweep``).
+    (61**3): ``coarse_grid`` is at most 476 for K = 2, 61 for K = 3, 21
+    for K = 4 and 11 for K = 5 (see ``check_sweep``).  K = 1 is held to
+    the K = 2 limit, since its level-0 shift bank holds ``coarse_grid``
+    copies of the padded grid.
     """
 
     B: float | None = None
@@ -102,17 +104,22 @@ class MdeConfig:
 
     def check_sweep(self, k: int) -> None:
         """Raise ``ValueError`` naming ``coarse_grid`` when the level-0
-        sweep for K components exceeds ``MDE_MAX_SWEEP`` candidates."""
-        if self.coarse_grid ** k <= MDE_MAX_SWEEP:
+        sweep for K components exceeds ``MDE_MAX_SWEEP`` candidates; K = 1
+        is held to the K = 2 limit."""
+        dims = max(k, 2)
+        if self.coarse_grid ** dims <= MDE_MAX_SWEEP:
             return
-        largest = round(MDE_MAX_SWEEP ** (1.0 / k))
-        if largest ** k > MDE_MAX_SWEEP:
+        largest = round(MDE_MAX_SWEEP ** (1.0 / dims))
+        if largest ** dims > MDE_MAX_SWEEP:
             largest -= 1
         allowed = (f"the largest allowed for K={k} is {largest}"
                    if largest >= 3 else f"K={k} allows none")
+        verb, held = (("sweeps", "") if k > 1 else
+                      ("counts as", " (held to the K=2 bound)"))
         raise ValueError(
-            f"coarse_grid={self.coarse_grid} sweeps {self.coarse_grid}**{k} "
-            f"candidates per x for K={k}, more than 61**3; {allowed}")
+            f"coarse_grid={self.coarse_grid} {verb} {self.coarse_grid}"
+            f"**{dims} candidates per x for K={k}{held}, more than 61**3; "
+            f"{allowed}")
 
     def resolution(self) -> float:
         """Final per-axis grid spacing as a fraction of B."""

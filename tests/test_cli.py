@@ -234,6 +234,27 @@ def test_four_component_spec_bounds_the_mde_grid(tmp_path, capsys):
     assert fit["fit"]["diagnostics"]["mde_candidates"] == [21, 13, 13, 13]
 
 
+def test_one_component_spec_bounds_the_mde_grid(tmp_path, capsys):
+    # K=1 is held to the K=2 bound of the level-0 sweep: 476 loads, 477
+    # exits 2 naming mde.coarse_grid.  No data is simulated or fitted.
+    model = MixedRegressionModel(
+        a=-1.0, b=1.0, lambdas=(1.0,), m=(RegressionCurve.line(1.0),),
+        sigma=0.2, g0=MixingSpec.point_mass(), x0=0.0)
+    out = tmp_path / "out"
+    ExperimentSpec.from_json_obj({
+        "model": model.to_json_obj(), "n": [400], "seeds": [0],
+        "configs": {"mde": {"coarse_grid": 476}}})
+    spec = write_spec(tmp_path / "exp.json", model.to_json_obj(), [400],
+                      [0], configs={"mde": {"coarse_grid": 477}},
+                      out=str(out))
+    for command in ("simulate", "fit-regression"):
+        assert main([command, "--spec", spec]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: mde.coarse_grid=477 ") \
+            and err.rstrip().endswith("K=1 is 476"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("mde", {"B": 0.001, "coarse_grid": 5}),
     ("x0", 123.0),

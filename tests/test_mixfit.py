@@ -149,6 +149,48 @@ def test_project_validation():
         project_to_gaussian_mixture(p_hat, 0.5, ProjectionConfig(L=None, M=2.0))
 
 
+def test_projection_lp_is_equality_form(monkeypatch):
+    # One equality row per grid point, design_i @ w - u_i + v_i = p_i,
+    # plus the simplex row, with only the design entries HiGHS keeps.
+    real_linprog = demix.measures.linprog
+    calls = []
+
+    def recording_linprog(*args, **kwargs):
+        calls.append(kwargs)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(demix.measures, "linprog", recording_linprog)
+    grid = GridSpec(-6.0, 6.0, 512)
+    p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
+    n_atoms = 41
+    project_to_gaussian_mixture(p_hat, 0.25, ProjectionConfig(L=n_atoms,
+                                                              M=4.0))
+    (kwargs,) = calls
+    assert kwargs.get("A_ub") is None and kwargs.get("b_ub") is None
+    a_eq = kwargs["A_eq"]
+    assert a_eq.shape == (grid.n_points + 1, n_atoms + 2 * grid.n_points)
+    design = np.column_stack([
+        gaussian_blur_values(np.array([a]), np.array([1.0]), 0.25,
+                             grid.points())
+        for a in np.linspace(-4.0, 4.0, n_atoms)])
+    kept = np.count_nonzero(
+        np.abs(design) > demix.measures.HIGHS_SMALL_MATRIX_VALUE)
+    assert kept < design.size
+    assert a_eq.nnz == kept + 2 * grid.n_points + n_atoms
+
+
+def test_projection_reports_lp_iterations():
+    samples = sample_vanilla_mixture(two_bump_model(), 4000, seed=1)
+    cfg = ProjectionConfig()
+    fit = fit_vanilla_mixture(samples, 2, 0.25, cfg=cfg)
+    iterations = fit.diagnostics["lp_iterations"]
+    assert fit.diagnostics["converged"]
+    assert type(iterations) is int
+    assert 0 < iterations < cfg.max_iters
+    back = MixtureFit.from_json_obj(json.loads(json.dumps(fit.to_json_obj())))
+    assert back.diagnostics["lp_iterations"] == iterations
+
+
 def test_project_without_lp_solution_raises():
     # scipy returns no iterate when HiGHS stops on its iteration cap.
     grid = GridSpec(-6.0, 6.0, 2048)

@@ -194,7 +194,7 @@ def test_mde_input_validation():
 
 def test_mde_sweep_bound_names_the_largest_coarse_grid():
     # At most 61**3 level-0 candidates per x: the default 61 points per
-    # axis reach it at K=3, and K=4 allows 21, K=5 11.
+    # axis reach it at K=3, and K=2 allows 476, K=4 21, K=5 11.
     p = blur_density([-3.0, -1.0, 1.0, 3.0], [0.25] * 4, 0.25)
     f = blur_density([0.0], [1.0], 0.25)
     with pytest.raises(ValueError,
@@ -204,6 +204,14 @@ def test_mde_sweep_bound_names_the_largest_coarse_grid():
     MdeConfig(coarse_grid=21).check_sweep(4)
     with pytest.raises(ValueError, match=r"^coarse_grid=12 .*K=5 is 11$"):
         MdeConfig(coarse_grid=12).check_sweep(5)
+    # K=1 shares the K=2 bound, 476: its level-0 shift bank holds
+    # coarse_grid copies of the padded grid, so the 61**3 candidates a
+    # K=1 sweep alone would allow make a bank of gigabytes.
+    for k in (1, 2):
+        MdeConfig(coarse_grid=476).check_sweep(k)
+        with pytest.raises(ValueError,
+                           match=rf"^coarse_grid=477 .*K={k} is 476$"):
+            MdeConfig(coarse_grid=477).check_sweep(k)
 
 
 def test_mde_four_components_grid():

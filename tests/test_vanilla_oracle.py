@@ -1,11 +1,14 @@
 """The trimmed projection LP and the np.sort KDE against their oracles.
 
-Equality is exact throughout: the library hands HiGHS the same model and
-the cumulative sums the same sorted arrays as the oracle forms in
-``vanilla_oracle``, so any difference is a defect, not rounding.
+Equality is exact against the oracle forms in ``vanilla_oracle``: the
+library hands HiGHS the same model and the cumulative sums the same
+sorted arrays, so any difference is a defect, not rounding.  The
+equality-form LP and the former inequality form are different models of
+one problem and agree to a tolerance.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,11 +35,12 @@ EDGE_VALUES = (
 
 
 def assert_same_lp(got, want):
-    w, objective, optimal = got
-    w_want, objective_want, optimal_want = want
+    w, objective, optimal, iterations = got
+    w_want, objective_want, optimal_want, iterations_want = want
     assert w.tobytes() == w_want.tobytes()
     assert objective == objective_want
     assert optimal == optimal_want
+    assert iterations == iterations_want
 
 
 def assert_same_density(got, want):
@@ -85,6 +89,22 @@ def test_lp_matches_untrimmed_oracle(seed):
                    oracle.weighted_l1_lp(design, target, quad))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_equality_form_matches_inequality_form(seed):
+    # The objectives agree to 1e-9 relative on 99% of draws.  The rest are
+    # small designs with columns of near-threshold entries, where HiGHS
+    # returns equality-form weights whose sum is off by up to 4e-6 (the
+    # inequality form's by at most 4e-9); normalizing the weights carries
+    # that into the objective, at worst 1.8e-5 relative in 13,000 draws.
+    design, target, quad = random_lp(seed)
+    _, objective, optimal, _ = oracle.weighted_l1_lp(design, target, quad)
+    _, objective_ineq, optimal_ineq, _ = oracle.weighted_l1_lp_inequality(
+        design, target, quad)
+    assert optimal == optimal_ineq
+    assert objective == pytest.approx(objective_ineq, rel=1e-4)
+
+
 def test_lp_matches_oracle_on_edge_entries_alone():
     # Every column is nothing but entries at or next to the threshold.
     rng = np.random.default_rng(5)
@@ -112,6 +132,11 @@ def test_lp_matches_oracle_on_mixture_problem():
     got = weighted_l1_lp(design, p_hat.values, quad)
     assert got[2]
     assert_same_lp(got, oracle.weighted_l1_lp(design, p_hat.values, quad))
+    w_ineq, objective_ineq, optimal_ineq, _ = \
+        oracle.weighted_l1_lp_inequality(design, p_hat.values, quad)
+    assert optimal_ineq
+    assert np.max(np.abs(got[0] - w_ineq)) <= 1e-9
+    assert got[1] == pytest.approx(objective_ineq, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,24 @@
 """Reference forms of the projection LP and the equal-weight box KDE.
 
 Kept out of the library as oracles for the optimized paths.  The LP here
-hands HiGHS the whole dense design, every entry included, and the KDE
-sorts its samples with a stable argsort and two gathers.  The library
-leaves out only matrix entries HiGHS ignores and sorts equal-weight
-samples with ``np.sort``, so results must agree bit for bit.
+hands HiGHS the whole dense design, every entry included, in the
+equality form the library solves; the inequality form the library solved
+before is kept beside it.  The KDE sorts its samples with a stable
+argsort and two gathers.  The library leaves out only matrix entries
+HiGHS ignores and sorts equal-weight samples with ``np.sort``, so results
+must agree bit for bit with ``weighted_l1_lp`` and the KDE here.
 """
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix, hstack, vstack
+from scipy.sparse import csr_matrix, hstack, identity, vstack
 
 from demix.measures import GridDensity, WEIGHT_TOL
 
 
-def weighted_l1_lp(design, target, quad_weights, tol=1e-8, maxiter=5000):
-    """Untrimmed LP; for problems HiGHS solves (``res.x`` present)."""
-    n_grid, n_atoms = design.shape
-    a_sparse = csr_matrix(design)
-    eye = csr_matrix((np.ones(n_grid), (range(n_grid), range(n_grid))),
-                     shape=(n_grid, n_grid))
-    a_ub = vstack([hstack([a_sparse, -eye]), hstack([-a_sparse, -eye])],
-                  format="csr")
-    b_ub = np.concatenate([target, -target])
-    cost = np.concatenate([np.zeros(n_atoms), quad_weights])
-    a_eq = csr_matrix(
-        (np.ones(n_atoms), (np.zeros(n_atoms, dtype=int), range(n_atoms))),
-        shape=(1, n_atoms + n_grid),
-    )
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=(0, None), method="highs",
+def _solve(cost, n_atoms, design, target, quad_weights, tol, maxiter,
+           **constraints):
+    res = linprog(cost, **constraints, bounds=(0, None), method="highs",
                   options={"maxiter": int(maxiter),
                            "primal_feasibility_tolerance": float(tol),
                            "dual_feasibility_tolerance": float(tol)})
@@ -39,7 +28,42 @@ def weighted_l1_lp(design, target, quad_weights, tol=1e-8, maxiter=5000):
     if total > 0:
         w = w / total
     objective = float(quad_weights @ np.abs(design @ w - target))
-    return w, objective, res.status == 0
+    return w, objective, res.status == 0, int(res.nit)
+
+
+def weighted_l1_lp(design, target, quad_weights, tol=1e-8, maxiter=5000):
+    """Untrimmed equality form, ``[design, -I, I] @ (w, u, v) = target``
+    and ``sum(w) = 1``; for problems HiGHS solves (``res.x`` present)."""
+    n_grid, n_atoms = design.shape
+    eye = identity(n_grid, format="csr")
+    simplex = csr_matrix(
+        (np.ones(n_atoms), (np.zeros(n_atoms, dtype=int), range(n_atoms))),
+        shape=(1, n_atoms + 2 * n_grid),
+    )
+    a_eq = vstack([hstack([csr_matrix(design), -eye, eye]), simplex],
+                  format="csr")
+    cost = np.concatenate([np.zeros(n_atoms), quad_weights, quad_weights])
+    return _solve(cost, n_atoms, design, target, quad_weights, tol, maxiter,
+                  A_eq=a_eq, b_eq=np.append(target, 1.0))
+
+
+def weighted_l1_lp_inequality(design, target, quad_weights, tol=1e-8,
+                              maxiter=5000):
+    """Untrimmed inequality form, ``|design @ w - target| <= t`` and
+    ``sum(w) = 1`` at cost ``quad_weights @ t``."""
+    n_grid, n_atoms = design.shape
+    a_sparse = csr_matrix(design)
+    eye = identity(n_grid, format="csr")
+    a_ub = vstack([hstack([a_sparse, -eye]), hstack([-a_sparse, -eye])],
+                  format="csr")
+    b_ub = np.concatenate([target, -target])
+    cost = np.concatenate([np.zeros(n_atoms), quad_weights])
+    a_eq = csr_matrix(
+        (np.ones(n_atoms), (np.zeros(n_atoms, dtype=int), range(n_atoms))),
+        shape=(1, n_atoms + n_grid),
+    )
+    return _solve(cost, n_atoms, design, target, quad_weights, tol, maxiter,
+                  A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0])
 
 
 def box_mixture_density(locations, weights, half_width, grid):
