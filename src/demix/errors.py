@@ -16,7 +16,7 @@ class EmptyWindowError(PipelineError):
 
 
 class ProjectionError(PipelineError):
-    """The projection linear program returned no solution."""
+    """The projection LP returned no solution with positive atom mass."""
 
 
 class ThresholdTooHighError(PipelineError):
@@ -36,4 +36,4 @@ class InsufficientDataError(PipelineError):
 
 
 class ProjectionWarning(UserWarning):
-    """The projection linear program stopped short of optimality."""
+    """The projection LP solution is short of optimal or off the simplex."""

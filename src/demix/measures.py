@@ -516,6 +516,9 @@ def _sorted_box_mixture_density(locs, wts, half_width: float,
 HIGHS_SMALL_MATRIX_VALUE = 1e-9
 # Primal and dual feasibility tolerance of the projection LP.
 LP_FEASIBILITY_TOL = 1e-8
+# Largest miss of the simplex row sum(w) = 1 that passes without a warning;
+# fitter designs miss by 1e-15, small near-threshold ones by up to 4e-6.
+SIMPLEX_ROW_TOL = 100 * LP_FEASIBILITY_TOL
 
 
 def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
@@ -528,8 +531,10 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
     ``[design, -I, I] @ (w, u, v) = target`` plus ``sum(w) = 1`` at cost
     ``quad_weights`` on both u and v; the objective is evaluated on the
     full dense design.  Raises ``ProjectionError`` when HiGHS returns no
-    solution, for example on hitting ``maxiter``, and warns with
-    ``ProjectionWarning`` when it returns one short of optimal.
+    solution with positive atom mass, for example on hitting ``maxiter``.
+    Warns with ``ProjectionWarning`` when it returns one short of optimal,
+    or atom weights whose sum misses 1 by more than ``SIMPLEX_ROW_TOL``
+    before they are renormalized.
     """
     n_grid, n_atoms = design.shape
     rows, cols = np.nonzero(np.abs(design) > HIGHS_SMALL_MATRIX_VALUE)
@@ -548,18 +553,21 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
                   options={"maxiter": int(maxiter),
                            "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
                            "dual_feasibility_tolerance": LP_FEASIBILITY_TOL})
-    if res.x is None:
+    w = np.zeros(n_atoms) if res.x is None else np.maximum(res.x[:n_atoms], 0)
+    total = float(w.sum())
+    if not total > 0:
         raise ProjectionError(
-            f"HiGHS returned no solution (status {res.status}: "
-            f"{res.message})"
+            f"HiGHS returned no solution with positive atom mass (status "
+            f"{res.status}: {res.message})"
         )
     if res.status != 0:
         warnings.warn(f"HiGHS stopped short of optimal (status "
                       f"{res.status}: {res.message})", ProjectionWarning,
                       stacklevel=2)
-    w = np.maximum(res.x[:n_atoms], 0.0)
-    total = w.sum()
-    if total > 0:
-        w = w / total
+    if abs(total - 1.0) > SIMPLEX_ROW_TOL:
+        warnings.warn(f"HiGHS atom weights sum to {total!r}, off the "
+                      f"simplex row by {total - 1.0:.3g}; renormalized",
+                      ProjectionWarning, stacklevel=2)
+    w = w / total
     objective = float(quad_weights @ np.abs(design @ w - target))
     return w, objective, res.status == 0, int(res.nit)

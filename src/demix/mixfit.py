@@ -39,7 +39,6 @@ from .measures import (
     IntervalSet,
     box_mixture_density,
     convolve_gaussian,
-    density_mean,
     gaussian_blur_values,
     require_positive_finite,
     weighted_l1_lp,
@@ -50,6 +49,8 @@ ATOM_PRUNE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-9
 MAX_THRESHOLD_RETRIES = 5
 RESPONSE_GRID_POINTS = 2048
+# Most projection atoms: the dense 2048 x L design then takes at most 1 GiB.
+MAX_ATOMS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +69,9 @@ class ProjectionConfig:
     takes M = 1.1 times the larger absolute end of the density grid; the
     fitters' grid (``response_grid``) pads the responses by the larger of
     6 sigma and the bandwidth, so this M is wider than the first rule's.
-    ``max_iters`` caps the HiGHS iterations; the feasibility tolerance is
-    fixed at ``measures.LP_FEASIBILITY_TOL``.
+    ``L`` may not exceed ``MAX_ATOMS`` (2**16); the default reaches it
+    only above n of about 4.3e9.  ``max_iters`` caps the HiGHS iterations;
+    the feasibility tolerance is fixed at ``measures.LP_FEASIBILITY_TOL``.
     """
 
     L: int | None = None
@@ -77,8 +79,9 @@ class ProjectionConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
-        if self.L is not None and self.L < 1:
-            raise ValueError("L must be at least 1")
+        if self.L is not None and not 1 <= self.L <= MAX_ATOMS:
+            raise ValueError(f"L={self.L} must lie between 1 and the limit "
+                             f"of {MAX_ATOMS} (2**16) projection atoms")
         if self.M is not None:
             require_positive_finite(self.M, "M")
         if self.max_iters < 1:
@@ -204,8 +207,8 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
     ``||sum_l w_l phi_sigma(. - a_l) - p_hat||_1`` is a linear program.
     A solve that ends with a solution short of optimality is flagged as not
     converged and warns with ``ProjectionWarning``; one that ends without
-    any solution (scipy gives none when HiGHS stops on ``max_iters``)
-    raises ``ProjectionError``.
+    any solution (scipy gives none when HiGHS stops on ``max_iters``), or
+    with atom weights of zero total, raises ``ProjectionError``.
     """
     require_positive_finite(sigma, "sigma")
     if not p_hat.normalized:
@@ -226,8 +229,6 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
         maxiter=cfg.max_iters,
     )
     keep = w > ATOM_PRUNE_TOL
-    if not np.any(keep):
-        keep = w == w.max()
     measure = DiscreteMeasure(atoms[keep], w[keep] / w[keep].sum())
     return ProjectionResult(measure, objective, optimal, iterations)
 
@@ -308,8 +309,9 @@ def estimate_components(g: DiscreteMeasure, cells, sigma: float,
                         diagnostics: dict | None = None) -> MixtureFit:
     """Read component weights and centered densities off a cell partition.
 
-    Each cell contributes its atom mass as the component weight; the
-    conditional atoms, shifted to mean zero, are re-convolved with the
+    Each cell contributes its atom mass as the component weight and the
+    mean of its conditional atoms as the component center; the conditional
+    atoms, shifted by that center to mean zero, are re-convolved with the
     Gaussian on the requested grid to give the centered density.
     """
     require_positive_finite(sigma, "sigma")
@@ -329,11 +331,7 @@ def estimate_components(g: DiscreteMeasure, cells, sigma: float,
                 f"cell [{lo:g}, {hi:g}) carries no mixing mass"
             )
         part = g.restrict(lo, hi)
-        # Wide internal grid so the mean of the blurred conditional is
-        # read off a fully covered density.
-        a_lo, a_hi = part.support_bounds()
-        inner = GridSpec(a_lo - 6.5 * sigma, a_hi + 6.5 * sigma, 4096)
-        mu = density_mean(convolve_gaussian(part, sigma, inner))
+        mu = part.mean()
         f_hat = convolve_gaussian(part.shift(-mu), sigma, grid)
         e_hat = None if e_hats is None else e_hats[idx]
         components.append((lam, mu, f_hat, (lo, hi), e_hat))

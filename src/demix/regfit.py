@@ -13,7 +13,8 @@ The per-x solves are independent and run on one thread pool shared by the
 whole process, with one thread per CPU the process may use; concurrent
 fits submit into the same pool.  What the solves of one fit share (the
 padded grid and the level-0 shift banks) is built once in an
-``MdeContext``.  Every estimate is bit-identical to a serial solve,
+``MdeContext``, whose ``solve`` runs the coarse sweep and its refinement
+levels for one x.  Every estimate is bit-identical to a serial solve,
 whatever the thread count.
 """
 
@@ -228,8 +229,8 @@ class MdeContext:
     mass) with its trapezoid weights, and the level-0 shift banks.  Level
     0 sweeps the whole box [-B, B] on every axis, so its banks depend on
     the grid, weights, densities and settings but not on the target.
-    Everything here is read only, so concurrent solves may share one
-    context.
+    ``solve`` fits one target; it writes nothing here, so concurrent
+    solves may share one context.
     """
 
     def __init__(self, grid: GridSpec, lambdas, f_hats, cfg: MdeConfig):
@@ -267,16 +268,6 @@ class MdeContext:
         for arr in (self.pts, self.quad, axis, *self.banks0):
             arr.flags.writeable = False
 
-    def banks(self, axes) -> list:
-        """One shift bank per axis: weighted densities at each offset.
-
-        The level-0 axes get the banks built once at construction.
-        """
-        if axes is self.axes0:
-            return self.banks0
-        return [_shift_bank(self.pts, f, lam, offsets)
-                for f, lam, offsets in zip(self.f_hats, self.lambdas, axes)]
-
     def check_serves(self, p_hat: GridDensity, lambdas, f_hats,
                      cfg: MdeConfig) -> None:
         """Reject a solve whose inputs differ from the context's."""
@@ -288,10 +279,29 @@ class MdeContext:
             raise ValueError("MdeContext was built for another grid, "
                              "weights, densities or MdeConfig")
 
-    def target(self, p_hat: GridDensity) -> np.ndarray:
-        """The target values on the padded grid."""
+    def solve(self, p_hat: GridDensity):
+        """``(theta, objective)`` of the minimum-distance fit to ``p_hat``.
+
+        Level 0 sweeps the level-0 banks; each refinement level builds the
+        banks of its window around the incumbent, which it replaces only on
+        a strict improvement.
+        """
         zeros = np.zeros(self.pad)
-        return np.concatenate([zeros, p_hat.values, zeros])
+        target = np.concatenate([zeros, p_hat.values, zeros])
+        theta, best_obj = None, math.inf
+        for level in range(self.cfg.refine_levels + 1):
+            if level == 0:
+                axes, banks = self.axes0, self.banks0
+            else:
+                axes = _refine_axes(self.cfg, level, theta)
+                banks = [_shift_bank(self.pts, *args) for args
+                         in zip(self.f_hats, self.lambdas, axes)]
+            cand_theta, cand_obj = _sweep_full_grid(target, self.quad,
+                                                    banks, axes)
+            if theta is None \
+                    or cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
+                theta, best_obj = cand_theta, cand_obj
+        return tuple(float(v) for v in theta), float(best_obj)
 
 
 def _sweep_full_grid(target, quad, banks, axes):
@@ -347,27 +357,6 @@ def _refine_axes(cfg: MdeConfig, level: int, centers) -> list:
     return [_axis_candidates(c, half, cfg.B, count) for c in centers]
 
 
-def _minimize_l1(p_hat: GridDensity, ctx: MdeContext):
-    """Shared minimum-distance solver over the box [-B, B]^K."""
-    cfg = ctx.cfg
-    target = ctx.target(p_hat)
-    theta = None
-    best_obj = math.inf
-    for level in range(cfg.refine_levels + 1):
-        axes = ctx.axes0 if level == 0 else _refine_axes(cfg, level, theta)
-        # The banks go straight into the sweep, so one level's banks are
-        # freed before the next level builds its own.
-        cand_theta, cand_obj = _sweep_full_grid(target, ctx.quad,
-                                                ctx.banks(axes), axes)
-        if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
-            best_obj = cand_obj
-            theta = cand_theta
-        elif theta is None:
-            best_obj = cand_obj
-            theta = cand_theta
-    return tuple(float(v) for v in theta), float(best_obj)
-
-
 def mde_at_x(p_hat_x: GridDensity, lambdas, f_hats, cfg: MdeConfig, *,
              context: MdeContext | None = None):
     """Regression values at one x by minimum distance.
@@ -384,7 +373,7 @@ def mde_at_x(p_hat_x: GridDensity, lambdas, f_hats, cfg: MdeConfig, *,
         context = MdeContext(p_hat_x.spec(), lambdas, list(f_hats), cfg)
     else:
         context.check_serves(p_hat_x, lambdas, f_hats, cfg)
-    return _minimize_l1(p_hat_x, context)
+    return context.solve(p_hat_x)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 import demix.cli as cli
 import demix.errors
+import demix.measures
 from demix.cli import main
 from demix.errors import PipelineError
 from demix.kde import BandwidthSchedule
@@ -504,11 +506,10 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
                       [60], [0, 1], out=out)
     assert main(["simulate", "--spec", spec]) == 0
     names = sorted(os.listdir(out))
-    first = {name: open(os.path.join(out, name), "rb").read()
-             for name in names}
+    first = {name: Path(out, name).read_bytes() for name in names}
     assert main(["simulate", "--spec", spec]) == 0
     for name in names:
-        assert open(os.path.join(out, name), "rb").read() == first[name]
+        assert Path(out, name).read_bytes() == first[name]
 
 
 def test_simulate_mixture_writes_single_column(tmp_path):
@@ -562,10 +563,10 @@ def test_fit_rerun_is_byte_identical(reg_run):
     spec, out = reg_run
     paths = [os.path.join(out, "fit_regression_n400_seed0.json"),
              os.path.join(out, "plot_regression_n400_seed0.csv")]
-    first = {p: open(p, "rb").read() for p in paths}
+    first = {p: Path(p).read_bytes() for p in paths}
     assert main(["fit-regression", "--spec", spec, "--seeds", "0"]) == 0
     for p in paths:
-        assert open(p, "rb").read() == first[p]
+        assert Path(p).read_bytes() == first[p]
 
 
 def test_fit_artifacts_do_not_depend_on_threads(tmp_path):
@@ -651,6 +652,41 @@ def test_fit_without_lp_solution_records_projection_error(tmp_path,
     assert record["status"] == "failed"
     assert record["error_type"] == "ProjectionError"
     assert "FAILED ProjectionError" in capsys.readouterr().out
+
+
+def test_fit_with_massless_lp_weights_records_projection_error(
+        tmp_path, monkeypatch):
+    # HiGHS status 4 (numerical difficulties) with an all-zero iterate.
+    monkeypatch.setattr(demix.measures, "linprog", lambda c, **kwargs:
+                        OptimizeResult(x=np.zeros(len(c)), status=4, nit=0,
+                                       message="Numerical difficulties."))
+    out = str(tmp_path / "out")
+    spec = write_spec(tmp_path / "exp.json", box_mixture_obj(), [800], [0],
+                      out=out)
+    assert main(["simulate", "--spec", spec]) == 0
+    assert main(["fit-mixture", "--spec", spec]) == 3
+    record = read_json(os.path.join(out, "fit_mixture_n800_seed0.json"))
+    assert record["status"] == "failed"
+    assert record["error_type"] == "ProjectionError"
+    assert "positive atom mass" in record["error"]
+
+
+def test_spec_bounds_projection_atoms(tmp_path, capsys):
+    # The bound is checked when the spec is read, before any design is
+    # built: 2**16 atoms pass, one more exits 2 naming projection.L.
+    out = str(tmp_path / "out")
+    accepted = write_spec(tmp_path / "ok.json", box_mixture_obj(), [60], [0],
+                          configs={"projection": {"L": 2 ** 16}}, out=out)
+    assert main(["simulate", "--spec", accepted]) == 0
+    rejected = write_spec(tmp_path / "big.json", box_mixture_obj(), [60],
+                          [0], configs={"projection": {"L": 2 ** 16 + 1}},
+                          out=out)
+    capsys.readouterr()
+    for command in ("simulate", "fit-mixture"):
+        assert main([command, "--spec", rejected]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "projection.L=65537 " in err
+        assert "65536" in err
 
 
 # (id, model kind, dataset file text, text the error must contain)

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 import demix.measures
 from demix.errors import (
@@ -23,6 +25,7 @@ from demix.measures import (
     GridDensity,
     GridSpec,
     IntervalSet,
+    density_mean,
     gaussian_blur_values,
     l1_distance,
     wasserstein1,
@@ -86,6 +89,13 @@ def test_projection_config_validation():
         ProjectionConfig(M=-1.0)
     with pytest.raises(ValueError):
         ProjectionConfig(max_iters=0)
+
+
+def test_projection_config_bounds_atoms():
+    assert ProjectionConfig(L=2 ** 16).L == 65536
+    with pytest.raises(ValueError,
+                       match=r"^L=65537 .* limit of 65536 "):
+        ProjectionConfig(L=2 ** 16 + 1)
 
 
 def test_denoise_config_validation_and_resolve():
@@ -224,6 +234,26 @@ def test_project_short_of_optimal_warns(monkeypatch):
                                           ProjectionConfig(L=41, M=4.0))
     assert not res.converged
     assert res.measure.weights.sum() == pytest.approx(1.0)
+
+
+def test_project_with_massless_lp_weights_raises(monkeypatch):
+    # HiGHS status 4 (numerical difficulties) with an all-zero iterate.
+    monkeypatch.setattr(demix.measures, "linprog", lambda c, **kwargs:
+                        OptimizeResult(x=np.zeros(len(c)), status=4, nit=0,
+                                       message="Numerical difficulties."))
+    grid = GridSpec(-6.0, 6.0, 512)
+    p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
+    with pytest.raises(ProjectionError, match="positive atom mass"):
+        project_to_gaussian_mixture(p_hat, 0.25,
+                                    ProjectionConfig(L=41, M=4.0))
+
+
+def test_converged_vanilla_fit_does_not_warn():
+    samples = sample_vanilla_mixture(two_bump_model(), 20_000, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_vanilla_mixture(samples, 2, 0.25)
+    assert fit.diagnostics["converged"]
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +653,37 @@ def test_partition_pipeline_weights_sum_to_one_and_cells_tile(drawn):
     assert all(left[1] == right[0] for left, right in zip(tiled, tiled[1:]))
     assert sorted(fit.lambdas_hat) == pytest.approx(sorted(clump_masses),
                                                     abs=1e-12)
+
+
+@st.composite
+def measures_and_cells(draw):
+    """A normalized atom measure and a partition of the line into cells
+    that each hold at least one atom, cut midway between atoms."""
+    n = draw(st.integers(1, 8))
+    start = draw(st.floats(-5.0, 0.0))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1,
+                         max_size=n - 1))
+    locs = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    wts = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n,
+                                 max_size=n)))
+    cuts = sorted(draw(st.sets(st.integers(0, n - 2))) if n > 1 else ())
+    bounds = [-math.inf, *(0.5 * (locs[i] + locs[i + 1]) for i in cuts),
+              math.inf]
+    order = draw(st.permutations(range(n)))
+    g = DiscreteMeasure(locs[order], wts[order] / wts.sum())
+    return g, list(zip(bounds[:-1], bounds[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(measures_and_cells(), st.floats(0.05, 1.0))
+def test_component_centres_are_cell_atom_means(drawn, sigma):
+    g, cells = drawn
+    lo, hi = g.support_bounds()
+    reach = hi - lo + 10.0 * sigma
+    fit = estimate_components(g, cells, sigma, GridSpec(-reach, reach, 4097))
+    for cell, mu, f in zip(fit.cells, fit.mus_hat, fit.f_hats):
+        assert mu == g.restrict(*cell).mean()
+        assert abs(density_mean(f)) <= 1e-9
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vanilla_oracle as oracle
+from demix.errors import ProjectionWarning
 from demix.kde import (BandwidthSchedule, ConditionalKde,
                        conditional_density_at, univariate_kde)
 from demix.measures import (HIGHS_SMALL_MATRIX_VALUE, GridSpec,
@@ -81,6 +82,7 @@ def random_lp(seed: int):
 # projection LP
 # ---------------------------------------------------------------------------
 
+@pytest.mark.filterwarnings("ignore::demix.errors.ProjectionWarning")
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_lp_matches_untrimmed_oracle(seed):
@@ -105,6 +107,7 @@ def test_equality_form_matches_inequality_form(seed):
     assert objective == pytest.approx(objective_ineq, rel=1e-4)
 
 
+@pytest.mark.filterwarnings("ignore::demix.errors.ProjectionWarning")
 def test_lp_matches_oracle_on_edge_entries_alone():
     # Every column is nothing but entries at or next to the threshold.
     rng = np.random.default_rng(5)
@@ -114,6 +117,15 @@ def test_lp_matches_oracle_on_edge_entries_alone():
     quad = np.full(40, 0.1)
     assert_same_lp(weighted_l1_lp(design, target, quad),
                    oracle.weighted_l1_lp(design, target, quad))
+
+
+def test_simplex_row_miss_warns():
+    # HiGHS reports this draw optimal with weights summing to 1 - 3.9e-6.
+    design, target, quad = random_lp(2447411248)
+    with pytest.warns(ProjectionWarning, match="off the simplex row by"):
+        w, _, optimal, _ = weighted_l1_lp(design, target, quad)
+    assert optimal
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_matches_oracle_on_mixture_problem():
