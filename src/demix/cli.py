@@ -50,8 +50,9 @@ run continues; a missing dataset stops the run, naming the first such seed
 in (n, seed) order, and a malformed one stops it naming the file and line.
 
 Seeds, in the spec, in ``--seeds`` and in ``demo-nonident``, must be
-distinct nonnegative integers. Every settings block (the spec, ``configs``
-and each block inside it) rejects keys it does not know and values of the
+distinct nonnegative integers. Every block (the spec, ``configs`` and each
+block inside it, the model and each curve, mixing distribution and
+covariate inside it) rejects keys it does not know and values of the
 wrong type.
 
 Exit codes: 0 success, 2 validation error (including any malformed spec

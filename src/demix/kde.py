@@ -19,7 +19,7 @@ import numpy as np
 from .errors import EmptyWindowError
 from .measures import (GridDensity, GridSpec, _sorted_box_mixture_density,
                        require_positive_finite)
-from .synth import Dataset
+from .synth import Dataset, _from_kind
 
 
 class BoundaryWarning(UserWarning):
@@ -59,8 +59,8 @@ class BandwidthSchedule:
             raise ValueError(f"unknown bandwidth rule {self.kind!r}")
 
     @classmethod
-    def fixed(cls, h: float) -> "BandwidthSchedule":
-        return cls(kind="fixed", value=h)
+    def fixed(cls, value: float) -> "BandwidthSchedule":
+        return cls(kind="fixed", value=value)
 
     @classmethod
     def power_law(cls, c: float = 1.0, exponent: float = -0.25
@@ -81,16 +81,9 @@ class BandwidthSchedule:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BandwidthSchedule":
-        """Inverse of ``to_json_obj``; ``kind`` is required, and keys that
-        the rule does not read are rejected."""
-        kind = obj["kind"]
-        keys = {"fixed": {"kind", "value"},
-                "power_law": {"kind", "c", "exponent"}}.get(kind, {"kind"})
-        unknown = set(obj) - keys
-        if unknown:
-            raise ValueError(f"unknown {kind} bandwidth keys: "
-                             f"{sorted(unknown)}")
-        return cls(**obj)
+        """Inverse of ``to_json_obj``: ``kind`` is required and names the
+        constructor that takes the other keys."""
+        return _from_kind(cls, ("fixed", "power_law"), obj, "bandwidth rule")
 
 
 # ---------------------------------------------------------------------------

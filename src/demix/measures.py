@@ -104,33 +104,26 @@ class GridDensity:
 
     def __init__(self, lo, hi, values, *, normalized=False,
                  norm_tol=GRID_NORM_TOL):
-        lo = float(lo)
-        hi = float(hi)
         vals = _as_finite_1d(values, "values")
-        if vals.size < 2:
-            raise ValueError("values must hold at least two points")
-        if not lo < hi:
-            raise ValueError("density requires lo < hi")
+        self._spec = GridSpec(float(lo), float(hi), vals.size)
         if np.any(vals < 0):
             raise ValueError("density values must be nonnegative")
-        self._lo = lo
-        self._hi = hi
         self._values = _frozen(vals)
         self._normalized = bool(normalized)
         if self._normalized:
             total = self.integral()
-            if abs(total - 1.0) > norm_tol:
+            if not abs(total - 1.0) <= norm_tol:
                 raise ValueError(
                     f"flagged normalized but integrates to {total:.6g}"
                 )
 
     @property
     def lo(self) -> float:
-        return self._lo
+        return self._spec.lo
 
     @property
     def hi(self) -> float:
-        return self._hi
+        return self._spec.hi
 
     @property
     def values(self) -> np.ndarray:
@@ -142,7 +135,7 @@ class GridDensity:
 
     @property
     def spacing(self) -> float:
-        return (self._hi - self._lo) / (self.n_points - 1)
+        return self._spec.spacing
 
     @property
     def normalized(self) -> bool:
@@ -150,10 +143,10 @@ class GridDensity:
 
     @property
     def grid(self) -> np.ndarray:
-        return np.linspace(self._lo, self._hi, self.n_points)
+        return self._spec.points()
 
     def spec(self) -> GridSpec:
-        return GridSpec(self._lo, self._hi, self.n_points)
+        return self._spec
 
     def trapezoid_weights(self) -> np.ndarray:
         return trapezoid_weights(self.n_points, self.spacing)
@@ -162,11 +155,10 @@ class GridDensity:
         return float(np.trapezoid(self._values, dx=self.spacing))
 
     def same_grid(self, other: "GridDensity") -> bool:
-        return (self._lo == other._lo and self._hi == other._hi
-                and self.n_points == other.n_points)
+        return self._spec == other._spec
 
     def to_json_obj(self) -> dict:
-        return {"lo": self._lo, "hi": self._hi,
+        return {"lo": self.lo, "hi": self.hi,
                 "values": self._values.tolist()}
 
     @classmethod
@@ -174,7 +166,7 @@ class GridDensity:
         return cls(obj["lo"], obj["hi"], obj["values"], normalized=normalized)
 
     def __repr__(self):
-        return (f"GridDensity(lo={self._lo:g}, hi={self._hi:g}, "
+        return (f"GridDensity(lo={self.lo:g}, hi={self.hi:g}, "
                 f"n_points={self.n_points}, normalized={self._normalized})")
 
 

@@ -1,7 +1,12 @@
 """Experiment files: the JSON spec that the ``demix`` commands run.
 
 Every block rejects keys it does not know and values of the wrong type,
-naming the key, so a malformed spec fails before any work starts.
+naming the key, so a malformed spec fails before any work starts.  A
+block's keys are the arguments of what it builds: the fields of a settings
+class, the fields of the model, or the arguments of the constructor that
+a ``kind`` names.  In the model block text is valid only as a ``kind`` or
+``type`` tag, and every other value is a number or a list or object of
+them.
 """
 
 from __future__ import annotations
@@ -9,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 
 from .kde import BandwidthSchedule
 from .mixfit import DenoiseConfig, ProjectionConfig
@@ -22,10 +28,25 @@ _CONFIG_KEYS = {"bandwidth", "projection", "denoise",
 _TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string"}
 
 
+def _check_model_values(value, name: str) -> None:
+    """Raise ``ValueError`` naming the key unless every value under
+    ``value`` is a number, or text under a ``kind`` or ``type`` key."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if not (key in ("kind", "type") and isinstance(item, str)):
+                _check_model_values(item, f"{name}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_model_values(item, f"{name}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def model_from_json_obj(obj: dict):
     """Dispatch a type-tagged model object to its class."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("model must be a JSON object with a 'type' tag")
+    _check_model_values(obj, "model")
     tag = obj["type"]
     if tag == "mixed_regression":
         return MixedRegressionModel.from_json_obj(obj)
@@ -37,25 +58,6 @@ def model_from_json_obj(obj: dict):
 def _whole(value) -> bool:
     # JSON numbers parse to exactly int or float; bool is excluded.
     return type(value) is int or type(value) is float and value.is_integer()
-
-
-def _positive_int(value, name: str) -> int:
-    """``value`` as an int, if it is a whole number of at least 1."""
-    if not _whole(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _optional_number(value, name: str, positive: bool = False):
-    """``value`` if it is None or a finite number, positive if asked."""
-    low = 0 if positive else -math.inf
-    # JSON numbers parse to exactly int or float; bool is excluded.
-    if value is not None and not (type(value) in (int, float)
-                                  and low < value < math.inf):
-        raise ValueError(f"{name} must be a "
-                         f"{'positive' if positive else 'finite'} number, "
-                         f"got {value!r}")
-    return value
 
 
 def _parse_seeds(raw, name: str) -> tuple:
@@ -134,6 +136,20 @@ class ExperimentSpec:
     window: float | None = None
     out: str | None = None
 
+    def __post_init__(self):
+        n = self.n_values
+        if not n or min(n) < 1 or len(set(n)) != len(n):
+            raise ValueError(f"n must hold one or more distinct positive "
+                             f"sample sizes, got {list(n)!r}")
+        if self.n_x_grid < 1:
+            raise ValueError(f"n_x_grid must be a positive integer, "
+                             f"got {self.n_x_grid!r}")
+        if self.x0 is not None and not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be a finite number, got {self.x0!r}")
+        if self.window is not None and not 0 < self.window < math.inf:
+            raise ValueError(f"window must be a positive number, "
+                             f"got {self.window!r}")
+
     @property
     def kind(self) -> str:
         if isinstance(self.model, MixedRegressionModel):
@@ -150,12 +166,7 @@ class ExperimentSpec:
         raw_n = obj.get("n", [])
         if isinstance(raw_n, (int, float)):
             raw_n = [raw_n]
-        n_values = [_positive_int(v, "n") for v in raw_n]
-        if not n_values:
-            raise ValueError("spec needs at least one sample size in 'n'")
-        if len(set(n_values)) != len(n_values):
-            raise ValueError(f"n must hold distinct sample sizes, "
-                             f"got {raw_n!r}")
+        n_values = [_setting(v, "int", "n") for v in raw_n]
 
         seeds = obj.get("seeds")
         if not isinstance(seeds, list):
@@ -184,23 +195,16 @@ class ExperimentSpec:
             settings["bandwidth"] = BandwidthSchedule.from_json_obj(
                 _parse_config(BandwidthSchedule, configs["bandwidth"],
                               "bandwidth"))
-        if "n_x_grid" in configs:
-            settings["n_x_grid"] = _positive_int(configs["n_x_grid"],
-                                                 "n_x_grid")
-        x0 = _optional_number(configs.get("x0"), "x0")
-        window = _optional_number(configs.get("window"), "window",
-                                  positive=True)
-        out = obj.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ValueError(f"out must be a path string, got {out!r}")
-
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        for key in ("x0", "n_x_grid", "window"):
+            if key in configs:
+                settings[key] = _setting(configs[key], types[key], key)
+        if "out" in obj:
+            settings["out"] = _setting(obj["out"], types["out"], "out")
         return cls(
             model=model,
             n_values=tuple(sorted(n_values)),
             seeds=_parse_seeds(seeds, "seeds"),
-            x0=x0,
-            window=window,
-            out=out,
             **settings,
         )
 

@@ -7,7 +7,11 @@ compactly supported, mean-zero mixing distribution.  A
 regression curves: a response follows a randomly chosen curve plus noise.
 
 Model ingredients are closed-form specs (not arbitrary callables) so that
-every model serializes to JSON and every experiment can be replayed.
+every model serializes to JSON and every experiment can be replayed.  A
+JSON block is read by the constructor it fills: a model's or covariate's
+keys are its fields, and a curve's or mixing distribution's keys are the
+arguments of the constructor its ``kind`` names, so a key that no
+argument takes raises.
 Sampling uses numpy's Philox generator, a counter-based scheme whose streams
 are reproducible across platforms.
 """
@@ -15,6 +19,7 @@ are reproducible across platforms.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,6 +55,16 @@ def _normalized_weights(lambdas) -> tuple[float, ...]:
     if abs(total - 1.0) > LAMBDA_SUM_TOL:
         raise ValueError(f"component weights sum to {total:.12g}, expected 1")
     return tuple(arr / total)
+
+
+def _from_kind(cls, kinds: tuple, obj: dict, noun: str):
+    """``cls`` built by its constructor named ``obj["kind"]``, one of
+    ``kinds``, from the other keys of ``obj`` as keyword arguments."""
+    obj = dict(obj)
+    kind = obj.pop("kind")
+    if kind not in kinds:
+        raise ValueError(f"unknown {noun} {kind!r}")
+    return getattr(cls, kind)(**obj)
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +138,8 @@ class RegressionCurve:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegressionCurve":
-        kind = obj["kind"]
-        if kind == "polynomial":
-            return cls.polynomial(obj["coeffs"])
-        if kind == "sinusoid":
-            return cls.sinusoid(obj["amplitude"], obj["frequency"],
-                                obj.get("phase", 0.0), obj.get("offset", 0.0))
-        if kind == "piecewise_linear":
-            return cls.piecewise_linear(obj["xs"], obj["ys"])
-        raise ValueError(f"unknown curve kind {kind!r}")
+        return _from_kind(cls, ("polynomial", "sinusoid", "piecewise_linear"),
+                          obj, "curve kind")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +150,7 @@ class RegressionCurve:
 class CovariateSpec:
     """Marginal distribution of the covariate on the model domain.
 
-    ``uniform`` needs no parameters; ``beta`` rescales a Beta(alpha, beta)
+    ``uniform`` takes no parameters; ``beta`` rescales a Beta(alpha, beta)
     draw onto ``[a, b]``.
     """
 
@@ -153,6 +161,10 @@ class CovariateSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "beta"):
             raise ValueError(f"unknown covariate kind {self.kind!r}")
+        for name in ("alpha", "beta"):
+            if self.kind == "uniform" and getattr(self, name) != 1.0:
+                raise ValueError(f"a uniform covariate takes no {name}, got "
+                                 f"{name}={getattr(self, name)!r}")
         if self.kind == "beta" and (self.alpha <= 0 or self.beta <= 0):
             raise ValueError("beta covariate needs positive shape parameters")
 
@@ -169,9 +181,7 @@ class CovariateSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CovariateSpec":
-        if obj["kind"] == "uniform":
-            return cls("uniform")
-        return cls("beta", obj["alpha"], obj["beta"])
+        return cls(**obj)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +240,11 @@ class MixingSpec:
         return cls.uniform_mixture([((lo, hi), 1.0)])
 
     @classmethod
-    def truncated_smooth(cls, q_mean=0.0, q_sigma=1.0, scale=1.0,
+    def truncated_smooth(cls, q_mean, q_sigma, scale,
                          resolution=2001) -> "MixingSpec":
+        if not isinstance(resolution, numbers.Integral):
+            raise ValueError(f"truncated_smooth resolution must be an "
+                             f"integer, got {resolution!r}")
         return cls("truncated_smooth", {
             "q_mean": float(q_mean), "q_sigma": float(q_sigma),
             "scale": float(scale), "resolution": int(resolution),
@@ -264,7 +277,7 @@ class MixingSpec:
         q_mean = self.params["q_mean"]
         q_sigma = self.params["q_sigma"]
         scale = self.params["scale"]
-        resolution = self.params.get("resolution", 2001)
+        resolution = self.params["resolution"]
         if q_sigma <= 0 or scale <= 0:
             raise ValueError("truncated_smooth needs positive q_sigma, scale")
         if resolution < 3:
@@ -348,12 +361,8 @@ class MixingSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MixingSpec":
-        obj = dict(obj)
-        kind = obj.pop("kind")
-        if kind == "uniform_mixture":
-            comps = [((c[0][0], c[0][1]), c[1]) for c in obj["components"]]
-            return cls.uniform_mixture(comps)
-        return cls(kind, obj)
+        return _from_kind(cls, ("point_mass", "uniform_mixture",
+                                "truncated_smooth"), obj, "mixing kind")
 
     def __repr__(self):
         return f"MixingSpec(kind={self.kind!r}, support={self._support})"
@@ -432,14 +441,12 @@ class MixedRegressionModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MixedRegressionModel":
-        return cls(
-            a=obj["a"], b=obj["b"], lambdas=obj["lambdas"],
-            m=tuple(RegressionCurve.from_json_obj(c) for c in obj["m"]),
-            sigma=obj["sigma"],
-            g0=MixingSpec.from_json_obj(obj["g0"]),
-            x0=obj["x0"],
-            p_x=CovariateSpec.from_json_obj(obj.get("p_x", {"kind": "uniform"})),
-        )
+        fields = {key: value for key, value in obj.items() if key != "type"}
+        fields["m"] = tuple(RegressionCurve.from_json_obj(c) for c in obj["m"])
+        fields["g0"] = MixingSpec.from_json_obj(obj["g0"])
+        if "p_x" in obj:
+            fields["p_x"] = CovariateSpec.from_json_obj(obj["p_x"])
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -523,10 +530,9 @@ class VanillaMixtureModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "VanillaMixtureModel":
-        return cls(
-            lambdas=obj["lambdas"], mus=obj["mus"], sigma=obj["sigma"],
-            gks=tuple(MixingSpec.from_json_obj(g) for g in obj["gks"]),
-        )
+        fields = {key: value for key, value in obj.items() if key != "type"}
+        fields["gks"] = tuple(MixingSpec.from_json_obj(g) for g in obj["gks"])
+        return cls(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from demix.kde import BandwidthSchedule
 from demix.measures import DiscreteMeasure, GridSpec
 from demix.mixfit import DenoiseConfig, ProjectionConfig, estimate_components
 from demix.regfit import MdeConfig, RegressionFit
-from demix.spec import ExperimentSpec
-from demix.synth import (MixedRegressionModel, MixingSpec, RegressionCurve,
-                         VanillaMixtureModel)
+from demix.spec import ExperimentSpec, model_from_json_obj
+from demix.synth import (CovariateSpec, MixedRegressionModel, MixingSpec,
+                         RegressionCurve, VanillaMixtureModel)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,16 @@ def test_missing_out_dir_is_validation_error(tmp_path):
     assert main(["simulate", "--spec", spec]) == 2
 
 
+def model_with(**changes) -> dict:
+    """Changes to a valid spec that replace keys of its model block."""
+    return {"model": {**crossing_lines_obj(), **changes}}
+
+
+LINE_DOWN = {"kind": "polynomial", "coeffs": [0.0, -1.0]}
+SINE = {"kind": "sinusoid", "amplitude": 1.0, "frequency": 1.0}
+TRUNCATED = {"kind": "truncated_smooth", "q_mean": 0.0, "q_sigma": 1.0,
+             "scale": 0.05}
+
 # (id, changes to a valid regression spec, text the error must contain)
 REJECTED_SPECS = [
     ("model_without_a",
@@ -189,6 +199,37 @@ REJECTED_SPECS = [
                               "t": 0.2}}}, "schedule"),
     ("refine_levels_past_doubles",
      {"configs": {"mde": {"refine_levels": 20}}}, "mde.refine_levels"),
+    ("sinusoid_unknown_key", model_with(m=[{**SINE, "phse": 1.5}, LINE_DOWN]),
+     "phse"),
+    ("point_mass_x_0", model_with(g0={"kind": "point_mass", "x_0": 0.5}),
+     "x_0"),
+    ("point_mass_slope", model_with(g0={"kind": "point_mass", "slope": 1.0}),
+     "slope"),
+    ("point_mass_width", model_with(g0={"kind": "point_mass", "width": 0.1}),
+     "width"),
+    ("uniform_p_x_alpha", model_with(p_x={"kind": "uniform", "alpha": 2.0}),
+     "alpha"),
+    ("coeffs_text",
+     model_with(m=[{"kind": "polynomial", "coeffs": ["0", "1"]}, LINE_DOWN]),
+     "coeffs"),
+    ("coeffs_bool",
+     model_with(m=[{"kind": "polynomial", "coeffs": [False, True]},
+                   LINE_DOWN]), "coeffs"),
+    ("lambdas_text", model_with(lambdas=["0.35", "0.65"]), "lambdas"),
+    ("amplitude_text",
+     model_with(m=[{**SINE, "amplitude": "1.0"}, LINE_DOWN]), "amplitude"),
+    ("uniform_mixture_text",
+     model_with(g0={"kind": "uniform_mixture",
+                    "components": [[["-0.1", "0.1"], 1]]}), "components"),
+    ("truncated_smooth_q_mean_text",
+     model_with(g0={**TRUNCATED, "q_mean": "0"}), "q_mean"),
+    ("truncated_smooth_resolution_fraction",
+     model_with(g0={**TRUNCATED, "resolution": 2001.5}), "resolution"),
+    ("truncated_smooth_resolution_text",
+     model_with(g0={**TRUNCATED, "resolution": "2001"}), "resolution"),
+    ("truncated_smooth_without_scale",
+     model_with(g0={k: v for k, v in TRUNCATED.items() if k != "scale"}),
+     "'scale'"),
 ]
 
 
@@ -345,6 +386,92 @@ def test_generated_settings_exit_cleanly(blocks):
                 assert code == 0, (command, code, err)
 
 
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+CURVES = st.one_of(
+    st.lists(finite(-5, 5), min_size=1, max_size=3).map(
+        RegressionCurve.polynomial),
+    st.builds(RegressionCurve.sinusoid, finite(-2, 2), finite(-3, 3),
+              finite(-3, 3), finite(-2, 2)),
+    st.lists(st.tuples(finite(-1, 1), finite(-2, 2)), min_size=2,
+             max_size=4, unique_by=lambda knot: knot[0]).map(
+        lambda knots: RegressionCurve.piecewise_linear(*zip(*sorted(knots)))),
+)
+MIXINGS = st.one_of(
+    st.just(MixingSpec.point_mass()),
+    st.lists(st.tuples(finite(-1, 1), finite(0.01, 1), finite(0.1, 1)),
+             min_size=1, max_size=3).map(
+        lambda parts: MixingSpec.uniform_mixture(
+            [((lo, lo + width), w) for lo, width, w in parts])),
+    st.builds(MixingSpec.truncated_smooth, finite(-1, 1), finite(0.1, 2),
+              finite(0.01, 1), st.integers(3, 50)),
+)
+COVARIATES = st.one_of(
+    st.just(CovariateSpec()),
+    st.builds(CovariateSpec, st.just("beta"), finite(0.1, 5), finite(0.1, 5)))
+# One component each, so that no draw fails the separation rules.
+MODELS = st.one_of(
+    st.builds(lambda curve, g0, p_x, sigma: MixedRegressionModel(
+        a=-1.0, b=1.0, lambdas=(1.0,), m=(curve,), sigma=sigma, g0=g0,
+        x0=0.0, p_x=p_x), CURVES, MIXINGS, COVARIATES, finite(0.05, 1)),
+    st.builds(lambda g, mu, sigma: VanillaMixtureModel(
+        lambdas=(1.0,), mus=(mu,), sigma=sigma, gks=(g,)),
+        MIXINGS, finite(-3, 3), finite(0.05, 1)),
+)
+# Every key some model block takes; the property injects any other.
+MODEL_KEYS = {"type", "kind", "a", "b", "lambdas", "m", "sigma", "g0", "x0",
+              "p_x", "mus", "gks", "coeffs", "amplitude", "frequency",
+              "phase", "offset", "xs", "ys", "components", "q_mean",
+              "q_sigma", "scale", "resolution", "alpha", "beta"}
+
+
+def model_blocks(value):
+    """Every JSON object in a model block, the block itself included."""
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from model_blocks(item)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MODELS, st.data())
+def test_model_blocks_round_trip_and_reject_unknown_keys(model, data):
+    """Every curve, mixing and covariate kind reads back from its JSON to
+    the same JSON, and one unknown key in any block of the model exits 2
+    naming the key."""
+    obj = json.loads(json.dumps(model.to_json_obj()))
+    back = model_from_json_obj(obj).to_json_obj()
+    assert json.dumps(back, sort_keys=True) == json.dumps(obj, sort_keys=True)
+    block = data.draw(st.sampled_from(list(model_blocks(obj))))
+    key = data.draw(st.text("abcxyz_0", min_size=1, max_size=6).filter(
+        lambda k: k not in MODEL_KEYS))
+    block[key] = data.draw(finite(-2, 2))
+    with tempfile.TemporaryDirectory() as root:
+        spec = write_spec(os.path.join(root, "exp.json"), obj, [20], [0],
+                          out=os.path.join(root, "out"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["simulate", "--spec", spec])
+    assert code == 2
+    assert err.getvalue().startswith("error:") and f"'{key}'" in err.getvalue()
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("n_x_grid", 0, "n_x_grid"), ("x0", math.nan, "x0"),
+    ("window", 0.0, "window"), ("n_values", (400, 400), "n must")],
+    ids=["n_x_grid", "x0", "window", "n_values"])
+def test_spec_built_directly_checks_its_settings(field, value, named):
+    model = MixedRegressionModel.from_json_obj(crossing_lines_obj())
+    settings = {"model": model, "n_values": (400,), "seeds": (0,),
+                field: value}
+    with pytest.raises(ValueError, match=named):
+        ExperimentSpec(**settings)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--seeds", "1,1"],
     ["simulate", "--seeds", "0,2,0"],
@@ -451,6 +578,14 @@ def test_readme_specs_load():
     for fragment in fragments:
         ExperimentSpec.from_json_obj(
             {**example, "configs": {**example["configs"], **fragment}})
+
+
+def test_readme_python_examples_run():
+    """The README's two library examples run as written."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
 
 
 @settings(max_examples=40, deadline=None)

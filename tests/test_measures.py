@@ -92,6 +92,14 @@ def test_grid_density_validation():
     GridDensity(0.0, 1.0, [1.05, 1.05], normalized=True, norm_tol=0.1)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0)])
+def test_grid_density_rejects_infinite_ends(lo, hi):
+    # The spacing is infinite, so the integral a normalized flag checks
+    # would be NaN; the grid is refused before it is computed.
+    with pytest.raises(ValueError, match="finite"):
+        GridDensity(lo, hi, [0.0, 0.0], normalized=True)
+
+
 def test_grid_density_json_round_trip():
     d = GridDensity(-1.0, 1.0, [0.0, 1.0, 0.0])
     again = GridDensity.from_json_obj(d.to_json_obj())
