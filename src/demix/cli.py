@@ -399,21 +399,33 @@ _MIXTURE_METRICS = ("lambda_error", "mu_error", "f_l1_max", "w1_mixing")
 
 def _seed_metrics(spec: ExperimentSpec, out: str, n: int,
                   seed: int) -> dict | None:
-    """Metrics for one stored fit; None when that seed's fit failed."""
+    """Metrics for one stored fit; None when that seed's fit failed.  A
+    malformed fit file raises ``ValueError`` naming the file."""
     path = _fit_path(out, spec.kind, n, seed)
     if not os.path.exists(path):
         raise FileNotFoundError(
             f"fit for n={n} seed={seed} not found: {path}")
-    with open(path) as fh:
-        record = json.load(fh)
-    if record.get("status") != "ok":
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+        status = record["status"]
+        if status not in ("ok", "failed"):
+            raise ValueError(f"status must be 'ok' or 'failed', "
+                             f"got {status!r}")
+        fit_cls = RegressionFit if spec.kind == "regression" else MixtureFit
+        fit = fit_cls.from_json_obj(record["fit"]) if status == "ok" else None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"fit file {path}: invalid JSON ({exc})") from None
+    except KeyError as exc:
+        raise ValueError(f"fit file {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"fit file {path}: {exc}") from None
+    if fit is None:
         return None
     if spec.kind == "regression":
-        fit = RegressionFit.from_json_obj(record["fit"])
         report = evaluate_regression_fit(fit, spec.model)
         return {name: report[name] for name in _REGRESSION_METRICS}
-    return _mixture_fit_metrics(MixtureFit.from_json_obj(record["fit"]),
-                                spec.model)
+    return _mixture_fit_metrics(fit, spec.model)
 
 
 def _aggregate(values: list) -> dict:

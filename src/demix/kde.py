@@ -12,7 +12,7 @@ instead of O(n * grid).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class BandwidthSchedule:
     ``power_law`` uses h(n) = c * n**exponent with exponent in (-1/2, 0),
     the range where h(n) shrinks while n * h(n)**2 still grows.  ``fixed``
     ignores n.  The default c=1, exponent=-1/4 satisfies both conditions
-    with room to spare.
+    with room to spare.  A field of the other rule must keep its default.
     """
 
     kind: str = "power_law"
@@ -53,10 +53,17 @@ class BandwidthSchedule:
                     "power_law exponent must lie in (-0.5, 0): "
                     "h must shrink while n*h^2 grows"
                 )
+            unused = ("value",)
         elif self.kind == "fixed":
             require_positive_finite(self.value, "fixed bandwidth value")
+            unused = ("c", "exponent")
         else:
             raise ValueError(f"unknown bandwidth rule {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in unused and value != f.default:
+                raise ValueError(f"a {self.kind} bandwidth takes no {f.name}, "
+                                 f"got {f.name}={value!r}")
 
     @classmethod
     def fixed(cls, value: float) -> "BandwidthSchedule":

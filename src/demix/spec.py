@@ -35,7 +35,7 @@ def _check_model_values(value, name: str) -> None:
         for key, item in value.items():
             if not (key in ("kind", "type") and isinstance(item, str)):
                 _check_model_values(item, f"{name}.{key}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _check_model_values(item, f"{name}[{i}]")
     elif isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -8,10 +8,11 @@ regression curves: a response follows a randomly chosen curve plus noise.
 
 Model ingredients are closed-form specs (not arbitrary callables) so that
 every model serializes to JSON and every experiment can be replayed.  A
-JSON block is read by the constructor it fills: a model's or covariate's
-keys are its fields, and a curve's or mixing distribution's keys are the
-arguments of the constructor its ``kind`` names, so a key that no
-argument takes raises.
+JSON block is read by the constructor it fills: a model's keys are its
+fields, and a curve's, mixing distribution's or covariate's keys are the
+arguments of the classmethod its ``kind`` names, so a key that no
+argument takes raises.  Those blocks keep the arguments they were built
+from and write them back as their JSON.
 Sampling uses numpy's Philox generator, a counter-based scheme whose streams
 are reproducible across platforms.
 """
@@ -67,12 +68,48 @@ def _from_kind(cls, kinds: tuple, obj: dict, noun: str):
     return getattr(cls, kind)(**obj)
 
 
+class _KindBlock:
+    """A model block built by the classmethod its ``kind`` names.
+
+    ``args`` holds that classmethod's keyword arguments as it checked
+    them, so the JSON ``{"kind": kind, **args}`` reads back through the
+    same classmethod.  The classmethods in ``KINDS`` (and their
+    shorthands) are the only way in.
+    """
+
+    KINDS: tuple
+
+    def __init__(self, *args, **kwargs):
+        name = type(self).__name__
+        raise TypeError(f"build a {name} with one of "
+                        + ", ".join(f"{name}.{kind}" for kind in self.KINDS))
+
+    @classmethod
+    def _build(cls, kind: str, args: dict, **derived):
+        """The ``kind`` block of ``args``, with the attributes ``derived``
+        from them."""
+        block = object.__new__(cls)
+        block.__dict__.update(derived, kind=kind, args=args)
+        return block
+
+    def to_json_obj(self) -> dict:
+        return {"kind": self.kind, **self.args}
+
+    @classmethod
+    def from_json_obj(cls, obj: dict):
+        return _from_kind(cls, cls.KINDS, obj, f"{cls.__name__} kind")
+
+    def __repr__(self):
+        args = ", ".join(f"{key}={value!r}"
+                         for key, value in self.args.items())
+        return f"{type(self).__name__}.{self.kind}({args})"
+
+
 # ---------------------------------------------------------------------------
 # regression curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegressionCurve:
+class RegressionCurve(_KindBlock):
     """Closed-form regression function.
 
     Kinds: ``polynomial`` (ascending coefficients), ``sinusoid``
@@ -80,15 +117,14 @@ class RegressionCurve:
     ``piecewise_linear`` (knot interpolation, clamped outside the knots).
     """
 
-    kind: str
-    params: tuple
+    KINDS = ("polynomial", "sinusoid", "piecewise_linear")
 
     @classmethod
     def polynomial(cls, coeffs) -> "RegressionCurve":
         coeffs = tuple(float(c) for c in coeffs)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        return cls("polynomial", coeffs)
+        return cls._build("polynomial", {"coeffs": coeffs})
 
     @classmethod
     def line(cls, slope: float, intercept: float = 0.0) -> "RegressionCurve":
@@ -101,8 +137,9 @@ class RegressionCurve:
     @classmethod
     def sinusoid(cls, amplitude, frequency, phase=0.0,
                  offset=0.0) -> "RegressionCurve":
-        return cls("sinusoid", (float(amplitude), float(frequency),
-                                float(phase), float(offset)))
+        return cls._build("sinusoid", {
+            "amplitude": float(amplitude), "frequency": float(frequency),
+            "phase": float(phase), "offset": float(offset)})
 
     @classmethod
     def piecewise_linear(cls, xs, ys) -> "RegressionCurve":
@@ -112,83 +149,56 @@ class RegressionCurve:
             raise ValueError("piecewise_linear needs matching knot vectors")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("piecewise_linear knots must strictly increase")
-        return cls("piecewise_linear", (xs, ys))
+        return cls._build("piecewise_linear", {"xs": xs, "ys": ys})
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        args = self.args
         if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(x, self.params)
+            return np.polynomial.polynomial.polyval(x, args["coeffs"])
         if self.kind == "sinusoid":
-            amp, freq, phase, offset = self.params
-            return amp * np.sin(freq * x + phase) + offset
-        if self.kind == "piecewise_linear":
-            xs, ys = self.params
-            return np.interp(x, xs, ys)
-        raise ValueError(f"unknown curve kind {self.kind!r}")
-
-    def to_json_obj(self) -> dict:
-        if self.kind == "piecewise_linear":
-            xs, ys = self.params
-            return {"kind": self.kind, "xs": list(xs), "ys": list(ys)}
-        if self.kind == "sinusoid":
-            amp, freq, phase, offset = self.params
-            return {"kind": self.kind, "amplitude": amp, "frequency": freq,
-                    "phase": phase, "offset": offset}
-        return {"kind": self.kind, "coeffs": list(self.params)}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RegressionCurve":
-        return _from_kind(cls, ("polynomial", "sinusoid", "piecewise_linear"),
-                          obj, "curve kind")
+            return (args["amplitude"]
+                    * np.sin(args["frequency"] * x + args["phase"])
+                    + args["offset"])
+        return np.interp(x, args["xs"], args["ys"])
 
 
 # ---------------------------------------------------------------------------
 # covariate marginals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CovariateSpec:
+class CovariateSpec(_KindBlock):
     """Marginal distribution of the covariate on the model domain.
 
     ``uniform`` takes no parameters; ``beta`` rescales a Beta(alpha, beta)
     draw onto ``[a, b]``.
     """
 
-    kind: str = "uniform"
-    alpha: float = 1.0
-    beta: float = 1.0
+    KINDS = ("uniform", "beta")
 
-    def __post_init__(self):
-        if self.kind not in ("uniform", "beta"):
-            raise ValueError(f"unknown covariate kind {self.kind!r}")
-        for name in ("alpha", "beta"):
-            if self.kind == "uniform" and getattr(self, name) != 1.0:
-                raise ValueError(f"a uniform covariate takes no {name}, got "
-                                 f"{name}={getattr(self, name)!r}")
-        if self.kind == "beta" and (self.alpha <= 0 or self.beta <= 0):
+    @classmethod
+    def uniform(cls) -> "CovariateSpec":
+        return cls._build("uniform", {})
+
+    @classmethod
+    def beta(cls, alpha, beta) -> "CovariateSpec":
+        if alpha <= 0 or beta <= 0:
             raise ValueError("beta covariate needs positive shape parameters")
+        return cls._build("beta", {"alpha": alpha, "beta": beta})
 
     def sample(self, rng: np.random.Generator, n: int, a: float,
                b: float) -> np.ndarray:
         if self.kind == "uniform":
             return rng.uniform(a, b, n)
-        return a + (b - a) * rng.beta(self.alpha, self.beta, n)
-
-    def to_json_obj(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform"}
-        return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CovariateSpec":
-        return cls(**obj)
+        return a + (b - a) * rng.beta(self.args["alpha"], self.args["beta"],
+                                      n)
 
 
 # ---------------------------------------------------------------------------
 # mixing distributions
 # ---------------------------------------------------------------------------
 
-class MixingSpec:
+class MixingSpec(_KindBlock):
     """Compactly supported, mean-zero mixing distribution.
 
     Kinds
@@ -205,55 +215,24 @@ class MixingSpec:
         sampling and Gaussian convolution exact for the same object.
 
     Whatever the raw parameters, the realized distribution is shifted so its
-    mean is zero.
+    mean is zero: a realization is either ``_atoms`` or ``_intervals``, the
+    ``(lo, hi, weight)`` uniform parts.
     """
 
-    def __init__(self, kind: str, params: dict):
-        self.kind = kind
-        self.params = dict(params)
-        self._atoms: DiscreteMeasure | None = None
-        self._intervals: tuple[tuple[float, float, float], ...] | None = None
-        if kind == "point_mass":
-            self._atoms = DiscreteMeasure.point(0.0)
-            self._support = (0.0, 0.0)
-        elif kind == "uniform_mixture":
-            self._init_uniform_mixture()
-        elif kind == "truncated_smooth":
-            self._init_truncated_smooth()
-        else:
-            raise ValueError(f"unknown mixing kind {kind!r}")
-
-    # -- constructors -------------------------------------------------------
+    KINDS = ("point_mass", "uniform_mixture", "truncated_smooth")
+    _atoms: DiscreteMeasure | None = None
+    _intervals: tuple[tuple[float, float, float], ...] | None = None
 
     @classmethod
     def point_mass(cls) -> "MixingSpec":
-        return cls("point_mass", {})
+        return cls._build("point_mass", {},
+                          _atoms=DiscreteMeasure.point(0.0),
+                          _support=(0.0, 0.0))
 
     @classmethod
     def uniform_mixture(cls, components) -> "MixingSpec":
-        comps = [((float(lo), float(hi)), float(w))
-                 for (lo, hi), w in components]
-        return cls("uniform_mixture", {"components": comps})
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "MixingSpec":
-        return cls.uniform_mixture([((lo, hi), 1.0)])
-
-    @classmethod
-    def truncated_smooth(cls, q_mean, q_sigma, scale,
-                         resolution=2001) -> "MixingSpec":
-        if not isinstance(resolution, numbers.Integral):
-            raise ValueError(f"truncated_smooth resolution must be an "
-                             f"integer, got {resolution!r}")
-        return cls("truncated_smooth", {
-            "q_mean": float(q_mean), "q_sigma": float(q_sigma),
-            "scale": float(scale), "resolution": int(resolution),
-        })
-
-    # -- realization --------------------------------------------------------
-
-    def _init_uniform_mixture(self):
-        comps = self.params.get("components", [])
+        comps = tuple(((float(lo), float(hi)), float(w))
+                      for (lo, hi), w in components)
         if not comps:
             raise ValueError("uniform_mixture needs at least one component")
         los = np.array([c[0][0] for c in comps], dtype=float)
@@ -268,16 +247,24 @@ class MixingSpec:
         los -= mean
         his -= mean
         order = np.argsort(los, kind="stable")
-        self._intervals = tuple(
-            (float(los[i]), float(his[i]), float(wts[i])) for i in order
-        )
-        self._support = (float(los.min()), float(his.max()))
+        return cls._build(
+            "uniform_mixture", {"components": comps},
+            _intervals=tuple((float(los[i]), float(his[i]), float(wts[i]))
+                             for i in order),
+            _support=(float(los.min()), float(his.max())))
 
-    def _init_truncated_smooth(self):
-        q_mean = self.params["q_mean"]
-        q_sigma = self.params["q_sigma"]
-        scale = self.params["scale"]
-        resolution = self.params["resolution"]
+    @classmethod
+    def uniform(cls, lo: float, hi: float) -> "MixingSpec":
+        return cls.uniform_mixture([((lo, hi), 1.0)])
+
+    @classmethod
+    def truncated_smooth(cls, q_mean, q_sigma, scale,
+                         resolution=2001) -> "MixingSpec":
+        if not isinstance(resolution, numbers.Integral):
+            raise ValueError(f"truncated_smooth resolution must be an "
+                             f"integer, got {resolution!r}")
+        q_mean, q_sigma, scale = float(q_mean), float(q_sigma), float(scale)
+        resolution = int(resolution)
         if q_sigma <= 0 or scale <= 0:
             raise ValueError("truncated_smooth needs positive q_sigma, scale")
         if resolution < 3:
@@ -294,8 +281,11 @@ class MixingSpec:
             raise ValueError("truncated_smooth density vanishes on its support")
         wts = wts / total
         mean = float(np.dot(wts, mids))
-        self._atoms = DiscreteMeasure(mids - mean, wts)
-        self._support = (float(mids[0] - mean), float(mids[-1] - mean))
+        return cls._build(
+            "truncated_smooth", {"q_mean": q_mean, "q_sigma": q_sigma,
+                                 "scale": scale, "resolution": resolution},
+            _atoms=DiscreteMeasure(mids - mean, wts),
+            _support=(float(mids[0] - mean), float(mids[-1] - mean)))
 
     # -- queries -------------------------------------------------------------
 
@@ -354,19 +344,6 @@ class MixingSpec:
             wts.append(np.full(cells, w / cells))
         return DiscreteMeasure(np.concatenate(locs), np.concatenate(wts))
 
-    def to_json_obj(self) -> dict:
-        obj = {"kind": self.kind}
-        obj.update(self.params)
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MixingSpec":
-        return _from_kind(cls, ("point_mass", "uniform_mixture",
-                                "truncated_smooth"), obj, "mixing kind")
-
-    def __repr__(self):
-        return f"MixingSpec(kind={self.kind!r}, support={self._support})"
-
 
 # ---------------------------------------------------------------------------
 # models
@@ -390,7 +367,7 @@ class MixedRegressionModel:
     sigma: float
     g0: MixingSpec
     x0: float
-    p_x: CovariateSpec = field(default_factory=CovariateSpec)
+    p_x: CovariateSpec = field(default_factory=CovariateSpec.uniform)
 
     def __post_init__(self):
         if not self.a < self.b:

@@ -8,6 +8,7 @@ without subprocess overhead.
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -230,6 +231,9 @@ REJECTED_SPECS = [
     ("truncated_smooth_without_scale",
      model_with(g0={k: v for k, v in TRUNCATED.items() if k != "scale"}),
      "'scale'"),
+    ("p_x_without_kind", model_with(p_x={}), "'kind'"),
+    ("beta_p_x_without_beta", model_with(p_x={"kind": "beta", "alpha": 2}),
+     "'beta'"),
 ]
 
 
@@ -409,8 +413,8 @@ MIXINGS = st.one_of(
               finite(0.01, 1), st.integers(3, 50)),
 )
 COVARIATES = st.one_of(
-    st.just(CovariateSpec()),
-    st.builds(CovariateSpec, st.just("beta"), finite(0.1, 5), finite(0.1, 5)))
+    st.just(CovariateSpec.uniform()),
+    st.builds(CovariateSpec.beta, finite(0.1, 5), finite(0.1, 5)))
 # One component each, so that no draw fails the separation rules.
 MODELS = st.one_of(
     st.builds(lambda curve, g0, p_x, sigma: MixedRegressionModel(
@@ -458,6 +462,27 @@ def test_model_blocks_round_trip_and_reject_unknown_keys(model, data):
             code = main(["simulate", "--spec", spec])
     assert code == 2
     assert err.getvalue().startswith("error:") and f"'{key}'" in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(CURVES, MIXINGS, COVARIATES))
+def test_model_block_keys_are_its_constructor_arguments(block):
+    """A curve's, mixing distribution's or covariate's JSON keys, besides
+    ``kind``, are the parameters of the classmethod its kind names."""
+    obj = block.to_json_obj()
+    constructor = getattr(type(block), obj.pop("kind"))
+    assert list(obj) == list(inspect.signature(constructor).parameters)
+
+
+@pytest.mark.parametrize("cls, args, named", [
+    (RegressionCurve, ("polynomial", ()), "RegressionCurve.polynomial"),
+    (MixingSpec, ("point_mass", {}), "MixingSpec.point_mass"),
+    (CovariateSpec, (), "CovariateSpec.uniform")],
+    ids=["RegressionCurve", "MixingSpec", "CovariateSpec"])
+def test_model_block_classes_are_built_by_their_classmethods(cls, args,
+                                                             named):
+    with pytest.raises(TypeError, match=named):
+        cls(*args)
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -986,6 +1011,33 @@ def test_eval_missing_fit_is_validation_error(tmp_path, capsys):
                       [100], [4], out=out)
     assert main(["eval", "--spec", spec]) == 2
     assert "seed=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda record: {**record, "fit": {key: value for key, value
+                                       in record["fit"].items()
+                                       if key != "x_grid"}}, "'x_grid'"),
+    (lambda record: {key: value for key, value in record.items()
+                     if key != "status"}, "'status'"),
+    (lambda record: {**record, "status": "done"}, "status"),
+    (lambda record: json.dumps(record)[:-1], "invalid JSON")],
+    ids=["fit_without_x_grid", "record_without_status",
+         "record_status_unknown", "invalid_json"])
+def test_eval_malformed_fit_file_exits_2_naming_it(tmp_path, capsys,
+                                                   corrupt, named):
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    model_obj = crossing_lines_obj()
+    spec = write_spec(tmp_path / "exp.json", model_obj, [100], [0],
+                      out=out)
+    model = MixedRegressionModel.from_json_obj(model_obj)
+    record = corrupt(_perfect_fit_record(model, 100, 0))
+    path = os.path.join(out, "fit_regression_n100_seed0.json")
+    with open(path, "w") as fh:
+        fh.write(record if isinstance(record, str) else json.dumps(record))
+    assert main(["eval", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fit file {path}:") and named in err, err
 
 
 def test_eval_marks_failed_seeds(tmp_path):

@@ -72,6 +72,16 @@ def test_schedule_validation():
         BandwidthSchedule().bandwidth(0)
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"kind": "fixed", "value": 0.1, "c": 5.0}, "c"),
+    ({"kind": "fixed", "value": 0.1, "exponent": -0.4}, "exponent"),
+    ({"kind": "power_law", "value": 0.1}, "value")],
+    ids=["fixed_c", "fixed_exponent", "power_law_value"])
+def test_schedule_rejects_the_other_rules_fields(fields, named):
+    with pytest.raises(ValueError, match=f"bandwidth takes no {named},"):
+        BandwidthSchedule(**fields)
+
+
 def test_schedule_json_round_trip():
     for sched in (BandwidthSchedule(), BandwidthSchedule.power_law(2.0, -0.3),
                   BandwidthSchedule.fixed(0.25)):

@@ -236,13 +236,13 @@ def test_sampler_component_fractions():
 
 
 def test_beta_covariate_sampling():
-    spec = CovariateSpec("beta", alpha=2.0, beta=5.0)
+    spec = CovariateSpec.beta(alpha=2.0, beta=5.0)
     rng = np.random.Generator(np.random.Philox(5))
     draws = spec.sample(rng, 200_000, 0.0, 10.0)
     assert draws.min() >= 0.0 and draws.max() <= 10.0
     assert float(draws.mean()) == pytest.approx(10.0 * 2.0 / 7.0, abs=0.05)
     with pytest.raises(ValueError):
-        CovariateSpec("beta", alpha=-1.0)
+        CovariateSpec.beta(alpha=-1.0, beta=1.0)
 
 
 def test_true_conditional_density_properties():
