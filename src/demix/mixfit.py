@@ -61,14 +61,12 @@ MAX_ATOMS = 2 ** 16
 class ProjectionConfig:
     """Controls the L¹ projection onto finite Gaussian mixtures.
 
-    ``L`` and ``M`` default to None and are resolved by the fitting
-    pipeline: L = ceil(sqrt(n)) atoms, and M by one of two rules.
-    ``fit_vanilla_mixture`` takes M = 1.1 times the largest absolute
-    sample, so the atom grid [-M, M] strictly contains the data hull.
-    ``fit_mixture_from_density``, and with it ``fit_mixed_regression``,
-    takes M = 1.1 times the larger absolute end of the density grid; the
-    fitters' grid (``response_grid``) pads the responses by the larger of
-    6 sigma and the bandwidth, so this M is wider than the first rule's.
+    ``L`` and ``M`` default to None and are resolved by
+    ``fit_mixture_from_density``, which every fit goes through:
+    L = ceil(sqrt(n)) atoms, and M = 1.1 times the largest absolute grid
+    point where the projected density is positive.  So the atom grid
+    [-M, M] strictly contains the density's support; for the box-kernel
+    estimates that is the data hull widened by the bandwidth.
     ``L`` may not exceed ``MAX_ATOMS`` (2**16); the default reaches it
     only above n of about 4.3e9.  ``max_iters`` caps the HiGHS iterations;
     the feasibility tolerance is fixed at ``measures.LP_FEASIBILITY_TOL``.
@@ -367,7 +365,6 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
     require_positive_finite(sigma, "sigma")
     cfg = cfg or ProjectionConfig()
     denoise = denoise or DenoiseConfig()
-    grid = p_hat.spec()
     if cfg.L is None:
         if n_hint is None:
             raise ValueError("need n_hint to default L = ceil(sqrt(n))")
@@ -375,8 +372,8 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
     if cfg.L < k:
         raise ValueError(f"L={cfg.L} must be at least K={k}")
     if cfg.M is None:
-        hull = max(abs(grid.lo), abs(grid.hi))
-        cfg = replace(cfg, M=1.1 * hull)
+        support = p_hat.grid[p_hat.values > 0]
+        cfg = replace(cfg, M=1.1 * float(np.abs(support).max()))
 
     proj = project_to_gaussian_mixture(p_hat, sigma, cfg)
     delta, t0 = denoise.resolve(proj.objective)
@@ -427,8 +424,12 @@ def fit_vanilla_mixture(samples, k: int, sigma: float,
     """Recover a K-component mixture from raw samples.
 
     Runs the box-kernel density estimate and then the full
-    project-smooth-denoise pipeline; all tuning defaults are derived from
-    the data (see ``ProjectionConfig`` and ``DenoiseConfig``).
+    project-smooth-denoise pipeline of ``fit_mixture_from_density``,
+    which derives every unset tuning value from that estimate (see
+    ``ProjectionConfig`` and ``DenoiseConfig``).  The estimate is positive
+    on the samples plus or minus the bandwidth h, so the default atom
+    range M is 1.1 times the largest absolute sample plus h, to within a
+    grid spacing.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
@@ -441,14 +442,11 @@ def fit_vanilla_mixture(samples, k: int, sigma: float,
             f"need at least 10 K = {10 * k} samples, got {n}"
         )
     require_positive_finite(sigma, "sigma")
-    cfg = cfg or ProjectionConfig()
     bandwidth = bandwidth or BandwidthSchedule()
     h = bandwidth.bandwidth(n)
 
-    y_lo, y_hi = float(samples.min()), float(samples.max())
-    y_grid = response_grid(y_lo, y_hi, sigma, h)
-    if cfg.M is None:
-        cfg = replace(cfg, M=1.1 * max(abs(y_lo), abs(y_hi)))
+    y_grid = response_grid(float(samples.min()), float(samples.max()),
+                           sigma, h)
     p_hat = univariate_kde(samples, h, y_grid)
     fit = fit_mixture_from_density(p_hat, k, sigma, cfg=cfg,
                                    denoise=denoise, n_hint=n)

@@ -381,27 +381,25 @@ def mde_at_x(p_hat_x: GridDensity, lambdas, f_hats, cfg: MdeConfig, *,
 # ---------------------------------------------------------------------------
 
 def find_separation_point(data: Dataset, k: int, window: float,
-                          a: float | None = None, b: float | None = None,
-                          n_grid: int = X_GRID_POINTS):
+                          a: float | None = None, b: float | None = None):
     """Locate the covariate where the response clusters separate most.
 
-    For each grid point x the responses with covariate within ``window``
-    are split into K groups by cutting the K - 1 largest sorted-value
-    gaps; the separation score is the smallest distance between group
-    midrange centers minus twice the largest group half-range.  Returns
-    the argmax (smallest x on ties) and the full (x, score) profile;
-    windows with fewer than 5 K points score minus infinity.
+    At each of ``X_GRID_POINTS`` evenly spaced x over [a, b], the
+    responses with covariate within ``window`` are split into K groups by
+    cutting the K - 1 largest sorted-value gaps; the separation score is
+    the smallest distance between group midrange centers minus twice the
+    largest group half-range.  Returns the argmax (smallest x on ties)
+    and the full (x, score) profile; windows with fewer than 5 K points
+    score minus infinity.
     """
     if k < 1:
         raise ValueError("K must be at least 1")
     require_positive_finite(window, "window")
-    if n_grid < 1:
-        raise ValueError(f"n_grid must be at least 1, got {n_grid}")
     a = float(data.x.min()) if a is None else float(a)
     b = float(data.x.max()) if b is None else float(b)
     if not a < b:
         raise ValueError("domain requires a < b")
-    xs = np.linspace(a, b, n_grid)
+    xs = np.linspace(a, b, X_GRID_POINTS)
     if k == 1:
         # Nothing to separate; every window scores infinity.
         profile = [(float(x), math.inf) for x in xs]

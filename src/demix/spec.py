@@ -30,7 +30,9 @@ _TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string"}
 
 def _check_model_values(value, name: str) -> None:
     """Raise ``ValueError`` naming the key unless every value under
-    ``value`` is a number, or text under a ``kind`` or ``type`` key."""
+    ``value`` is a finite number, or text under a ``kind`` or ``type``
+    key.  ``json.load`` parses NaN and Infinity, so finiteness is checked
+    here."""
     if isinstance(value, dict):
         for key, item in value.items():
             if not (key in ("kind", "type") and isinstance(item, str)):
@@ -38,8 +40,9 @@ def _check_model_values(value, name: str) -> None:
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _check_model_values(item, f"{name}[{i}]")
-    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+          or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def model_from_json_obj(obj: dict):

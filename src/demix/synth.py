@@ -182,8 +182,8 @@ class CovariateSpec(_KindBlock):
 
     @classmethod
     def beta(cls, alpha, beta) -> "CovariateSpec":
-        if alpha <= 0 or beta <= 0:
-            raise ValueError("beta covariate needs positive shape parameters")
+        require_positive_finite(alpha, "alpha")
+        require_positive_finite(beta, "beta")
         return cls._build("beta", {"alpha": alpha, "beta": beta})
 
     def sample(self, rng: np.random.Generator, n: int, a: float,

@@ -234,6 +234,24 @@ REJECTED_SPECS = [
     ("p_x_without_kind", model_with(p_x={}), "'kind'"),
     ("beta_p_x_without_beta", model_with(p_x={"kind": "beta", "alpha": 2}),
      "'beta'"),
+    ("beta_p_x_infinite_shape",
+     model_with(p_x={"kind": "beta", "alpha": 2, "beta": math.inf}),
+     "model.p_x.beta must be a finite number, got inf"),
+    ("beta_p_x_nan_shape",
+     model_with(p_x={"kind": "beta", "alpha": math.nan, "beta": 3}),
+     "model.p_x.alpha must be a finite number, got nan"),
+    ("sinusoid_infinite_amplitude",
+     model_with(m=[{**SINE, "amplitude": math.inf}, LINE_DOWN]),
+     "model.m[0].amplitude"),
+    ("polynomial_nan_coefficient",
+     model_with(m=[{"kind": "polynomial", "coeffs": [0.0, math.nan]},
+                   LINE_DOWN]), "model.m[0].coeffs[1]"),
+    ("uniform_mixture_nan_bound",
+     model_with(g0={"kind": "uniform_mixture",
+                    "components": [[[-0.1, math.nan], 1]]}),
+     "model.g0.components[0][0][1]"),
+    ("truncated_smooth_nan_q_sigma",
+     model_with(g0={**TRUNCATED, "q_sigma": math.nan}), "model.g0.q_sigma"),
 ]
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from demix.measures import (
     GridSpec,
     gaussian_blur_values,
 )
-from demix.mixfit import estimate_components
+from demix.mixfit import (
+    estimate_components,
+    fit_vanilla_mixture,
+    project_to_gaussian_mixture,
+)
 from demix.regfit import (
     MdeConfig,
     RegressionFit,
@@ -374,12 +379,6 @@ def test_find_separation_insufficient_data():
         find_separation_point(data, 2, window=1e-6)
 
 
-def test_find_separation_rejects_empty_grid():
-    data = alternating_dataset(400)
-    with pytest.raises(ValueError, match="n_grid"):
-        find_separation_point(data, 2, window=0.2, n_grid=0)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end regression fitting
 # ---------------------------------------------------------------------------
@@ -514,6 +513,79 @@ def test_fit_diagnostics_record_mde_schedule(gap_fit):
     assert fit.diagnostics["mde_candidates"] == [61, 13, 13, 13]
     assert MdeConfig(coarse_grid=9, refine_levels=2).candidates() == [9, 9, 9]
     assert MdeConfig(refine_levels=0).candidates() == [61]
+
+
+# ---------------------------------------------------------------------------
+# projection atom range
+# ---------------------------------------------------------------------------
+
+def fit_and_projected_density(fit, *args, **kwargs):
+    """Run ``fit`` and return it with the density its projection read."""
+    seen = []
+
+    def project(p_hat, sigma, cfg):
+        seen.append(p_hat)
+        return project_to_gaussian_mixture(p_hat, sigma, cfg)
+
+    with mock.patch("demix.mixfit.project_to_gaussian_mixture", project):
+        result = fit(*args, **kwargs)
+    (p_hat,) = seen
+    return result, p_hat
+
+
+def assert_m_reads_the_support(m, p_hat, ys, h):
+    """M is 1.1 times the largest |y| where ``p_hat`` is positive; for a
+    box-kernel estimate of ``ys`` that is the data hull widened by h."""
+    assert m == 1.1 * np.abs(p_hat.grid[p_hat.values > 0]).max()
+    hull = float(np.abs(ys).max())
+    assert 1.1 * hull <= m < 1.1 * (hull + h + p_hat.spacing)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 4000),
+       shift=st.floats(-3.0, 3.0), gap=st.floats(2.0, 4.0),
+       sigma=st.floats(0.1, 0.3))
+def test_vanilla_m_is_read_off_the_projected_support(seed, n, shift, gap,
+                                                     sigma):
+    rng = np.random.default_rng(seed)
+    ys = (shift + np.where(rng.random(n) < 0.4, -0.5, 0.5) * gap
+          + sigma * rng.standard_normal(n))
+    fit, p_hat = fit_and_projected_density(fit_vanilla_mixture, ys, 2, sigma)
+    assert_m_reads_the_support(fit.diagnostics["M"], p_hat, ys,
+                               fit.diagnostics["h"])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(500, 3000),
+       slope=st.floats(1.0, 2.0), intercept=st.floats(-2.0, 2.0),
+       given_x0=st.booleans())
+def test_regression_m_is_read_off_the_projected_support(
+        seed, n, slope, intercept, given_x0):
+    # Slopes from 1 put the lines at least 10 sigma apart at x = 1;
+    # closer pairs do not resolve into two clusters at these n.
+    model = MixedRegressionModel(
+        a=-1.0, b=1.0, lambdas=(0.35, 0.65),
+        m=(RegressionCurve.line(slope, intercept),
+           RegressionCurve.line(-slope, intercept)),
+        sigma=0.2, g0=MixingSpec.point_mass(), x0=1.0)
+    data = sample_mixed_regression(model, n, seed=seed)
+    fit, p_hat = fit_and_projected_density(
+        fit_mixed_regression, data, 2, 0.2, x0=1.0 if given_x0 else None,
+        n_x_grid=3)
+    window = ConditionalKde(data).window_responses(fit.x0_used)
+    assert_m_reads_the_support(fit.mixture.diagnostics["M"], p_hat, window,
+                               fit.diagnostics["h"])
+
+
+def test_crossing_lines_atoms_stay_near_the_window_responses():
+    # The response grid is padded by 6 sigma past the data; the atom
+    # range must follow the responses in the x0 window, not the grid ends.
+    data = sample_mixed_regression(crossing_lines_model(), 5000, seed=0)
+    fit, p_hat = fit_and_projected_density(
+        fit_mixed_regression, data, 2, 0.2, x0=1.0, n_x_grid=3)
+    window = ConditionalKde(data).window_responses(fit.x0_used)
+    reach = np.abs(window).max() + fit.diagnostics["h"] + p_hat.spacing
+    assert fit.mixture.diagnostics["M"] < 1.1 * reach
 
 
 # ---------------------------------------------------------------------------

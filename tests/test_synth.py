@@ -245,6 +245,13 @@ def test_beta_covariate_sampling():
         CovariateSpec.beta(alpha=-1.0, beta=1.0)
 
 
+def test_beta_covariate_rejects_non_finite_shapes_by_name():
+    with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+        CovariateSpec.beta(math.nan, 3)
+    with pytest.raises(ValueError, match="^beta must be positive and finite"):
+        CovariateSpec.beta(2, math.inf)
+
+
 def test_true_conditional_density_properties():
     model = crossing_lines_model(g0=MixingSpec.uniform(-0.25, 0.25), x0=1.5)
     grid = GridSpec(-6.0, 6.0, 2049)
