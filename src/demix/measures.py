@@ -26,6 +26,7 @@ values may be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -54,6 +55,14 @@ def require_positive_finite(value, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` unless 0 < value < inf."""
     if not 0 < value < math.inf:  # NaN fails every comparison
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an ``int``; raise ``ValueError`` naming ``name`` unless
+    it is an integer (a numpy integer counts, a bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

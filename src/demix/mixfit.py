@@ -40,6 +40,7 @@ from .measures import (
     box_mixture_density,
     convolve_gaussian,
     gaussian_blur_values,
+    require_int,
     require_positive_finite,
     weighted_l1_lp,
     widest_gap_bounds,
@@ -77,6 +78,10 @@ class ProjectionConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
+        if self.L is not None:
+            object.__setattr__(self, "L", require_int(self.L, "L"))
+        object.__setattr__(self, "max_iters",
+                           require_int(self.max_iters, "max_iters"))
         if self.L is not None and not 1 <= self.L <= MAX_ATOMS:
             raise ValueError(f"L={self.L} must lie between 1 and the limit "
                              f"of {MAX_ATOMS} (2**16) projection atoms")

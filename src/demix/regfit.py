@@ -12,10 +12,14 @@ weight, its error density, and one regression curve.
 The per-x solves are independent and run on one thread pool shared by the
 whole process, with one thread per CPU the process may use; concurrent
 fits submit into the same pool.  What the solves of one fit share (the
-padded grid and the level-0 shift banks) is built once in an
-``MdeContext``, whose ``solve`` runs the coarse sweep and its refinement
-levels for one x.  Every estimate is bit-identical to a serial solve,
-whatever the thread count.
+padded grid, the level-0 shift banks and their Gram matrices) is built
+once in an ``MdeContext``, whose ``solve`` runs the coarse sweep and its
+refinement levels for one x.  The coarse sweep is screened: a
+candidate's squared L2 distance to the target, read off the Grams, over
+a bound on |mixture - target| is a lower bound on its L1 objective, so
+only the rows of the level-0 grid that this bound cannot rule out get an
+L1 sweep, and the result is the exhaustive sweep's, bit for bit.  Every
+estimate is bit-identical to a serial solve, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .errors import EmptyWindowError, InsufficientDataError
 from .kde import BandwidthSchedule, ConditionalKde
-from .measures import (GridDensity, GridSpec, l1_distance,
+from .measures import (GridDensity, GridSpec, l1_distance, require_int,
                        require_positive_finite, trapezoid_weights,
                        widest_gap_bounds)
 from .mixfit import (
@@ -52,8 +56,9 @@ MDE_REFINE_POINTS = 13
 # Finest grid spacing, as a fraction of B, whose candidates near +-B are
 # still distinct doubles.
 MDE_MIN_RESOLUTION = 2.0 ** -50
-# Most level-0 candidates one solve may sweep: the K=3 sweep of the
-# default 61-point grid.
+# Most level-0 candidates per solve, the K=3 lattice of the default
+# 61-point grid: it bounds the L2 table the screen builds (1.8 MB) and
+# the rows the screen may leave to the L1 sweep.
 MDE_MAX_SWEEP = 61 ** 3
 
 
@@ -75,14 +80,16 @@ class MdeConfig:
     candidates around the incumbent, or all ``coarse_grid`` when fewer.
     The minimizer the previous level brackets lies within one of its
     spacings of the incumbent, five of this level's, inside the window
-    of +-6.  Windows are clipped to [-B, B].  Every level enumerates
-    the full grid of its candidates and returns the lexicographically
-    smallest minimizer of the sampled grid.  The level-0 sweep visits
-    ``coarse_grid**K`` candidates, which may not exceed ``MDE_MAX_SWEEP``
-    (61**3): ``coarse_grid`` is at most 476 for K = 2, 61 for K = 3, 21
-    for K = 4 and 11 for K = 5 (see ``check_sweep``).  K = 1 is held to
-    the K = 2 limit, since its level-0 shift bank holds ``coarse_grid``
-    copies of the padded grid.
+    of +-6.  Windows are clipped to [-B, B].  Every level returns the
+    lexicographically smallest minimizer of its full grid of candidates.
+    Refinement levels sweep that whole grid in L1.  Level 0 first tabulates
+    a lower bound on the L1 objective of all ``coarse_grid**K``
+    candidates from their L2 distances, and sweeps in L1 only the rows
+    whose bound does not rule out the minimizer.  The table may not exceed
+    ``MDE_MAX_SWEEP`` (61**3) entries: ``coarse_grid`` is at most 476 for
+    K = 2, 61 for K = 3, 21 for K = 4 and 11 for K = 5 (see
+    ``check_sweep``).  K = 1 is held to the K = 2 limit, since its
+    level-0 shift bank holds ``coarse_grid`` copies of the padded grid.
     """
 
     B: float | None = None
@@ -92,6 +99,9 @@ class MdeConfig:
     def __post_init__(self):
         if self.B is not None:
             require_positive_finite(self.B, "B")
+        for name in ("coarse_grid", "refine_levels"):
+            object.__setattr__(self, name,
+                               require_int(getattr(self, name), name))
         if self.coarse_grid < 3:
             raise ValueError("coarse_grid must be at least 3")
         if self.refine_levels < 0:
@@ -105,7 +115,7 @@ class MdeConfig:
 
     def check_sweep(self, k: int) -> None:
         """Raise ``ValueError`` naming ``coarse_grid`` when the level-0
-        sweep for K components exceeds ``MDE_MAX_SWEEP`` candidates; K = 1
+        grid for K components exceeds ``MDE_MAX_SWEEP`` candidates; K = 1
         is held to the K = 2 limit."""
         dims = max(k, 2)
         if self.coarse_grid ** dims <= MDE_MAX_SWEEP:
@@ -226,9 +236,12 @@ class MdeContext:
     """What the minimum-distance solves of one fit share, built once.
 
     Holds the response grid padded by B on both sides (so shifts lose no
-    mass) with its trapezoid weights, and the level-0 shift banks.  Level
-    0 sweeps the whole box [-B, B] on every axis, so its banks depend on
-    the grid, weights, densities and settings but not on the target.
+    mass) with its trapezoid weights, and the level-0 shift banks with
+    what their L2 screen needs: their Gram matrices under those weights
+    (``grams0[j, m]`` for j <= m), their summed peaks and their summed
+    largest row masses.  Level 0 sweeps the whole box [-B, B] on every
+    axis, so all of these depend on the grid, weights, densities and
+    settings but not on the target.
     ``solve`` fits one target; it writes nothing here, so concurrent
     solves may share one context.
     """
@@ -265,7 +278,13 @@ class MdeContext:
         self.axes0 = [axis] * k
         self.banks0 = [_shift_bank(self.pts, f, lam, axis)
                        for f, lam in zip(self.f_hats, lambdas)]
-        for arr in (self.pts, self.quad, axis, *self.banks0):
+        self.grams0 = {(j, m): (self.banks0[j] * self.quad)
+                       @ self.banks0[m].T
+                       for j in range(k) for m in range(j, k)}
+        self.peak0 = sum(float(b.max()) for b in self.banks0)
+        self.mass0 = sum(float((b @ self.quad).max()) for b in self.banks0)
+        for arr in (self.pts, self.quad, axis, *self.banks0,
+                    *self.grams0.values()):
             arr.flags.writeable = False
 
     def check_serves(self, p_hat: GridDensity, lambdas, f_hats,
@@ -282,53 +301,128 @@ class MdeContext:
     def solve(self, p_hat: GridDensity):
         """``(theta, objective)`` of the minimum-distance fit to ``p_hat``.
 
-        Level 0 sweeps the level-0 banks; each refinement level builds the
-        banks of its window around the incumbent, which it replaces only on
-        a strict improvement.
+        Level 0 is ``sweep_level0``; each refinement level builds the banks
+        of its window around the incumbent and sweeps all of its rows, and
+        replaces the incumbent only on a strict improvement.
         """
         zeros = np.zeros(self.pad)
         target = np.concatenate([zeros, p_hat.values, zeros])
-        theta, best_obj = None, math.inf
-        for level in range(self.cfg.refine_levels + 1):
-            if level == 0:
-                axes, banks = self.axes0, self.banks0
-            else:
-                axes = _refine_axes(self.cfg, level, theta)
-                banks = [_shift_bank(self.pts, *args) for args
-                         in zip(self.f_hats, self.lambdas, axes)]
-            cand_theta, cand_obj = _sweep_full_grid(target, self.quad,
-                                                    banks, axes)
-            if theta is None \
-                    or cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
+        theta, best_obj = self.sweep_level0(target)
+        for level in range(1, self.cfg.refine_levels + 1):
+            axes = _refine_axes(self.cfg, level, theta)
+            banks = [_shift_bank(self.pts, *args) for args
+                     in zip(self.f_hats, self.lambdas, axes)]
+            cand_theta, cand_obj = _sweep_full_grid(
+                target, self.quad, banks, axes,
+                itertools.product(*(range(a.size) for a in axes[:-1])))
+            if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
                 theta, best_obj = cand_theta, cand_obj
         return tuple(float(v) for v in theta), float(best_obj)
 
+    def l2_table(self, target: np.ndarray) -> np.ndarray:
+        """``sum(quad * (a - target)**2)`` for the mixture ``a`` of every
+        level-0 candidate, indexed by the candidates' axis positions.
 
-def _sweep_full_grid(target, quad, banks, axes):
-    """Exhaustive lexicographic sweep over the per-axis candidate lists.
+        Expanding the square leaves the cached Grams, one gemv of each
+        bank against ``quad * target``, and the target's own square.
+        """
+        k = len(self.banks0)
+        n = self.axes0[0].size
+        weighted = self.quad * target
+        table = np.full((n,) * k, float(target @ weighted))
+        for (j, m), gram in self.grams0.items():
+            shape = [1] * k
+            shape[j] = shape[m] = n
+            if j == m:
+                term = np.diagonal(gram) - 2.0 * (self.banks0[j] @ weighted)
+            else:
+                term = 2.0 * gram
+            table += term.reshape(shape)
+        return table
 
-    Returns the lexicographically smallest argmin and its objective.
-    Candidates are enumerated with the last axis vectorized; earlier
-    candidates win ties through a strict-improvement threshold.  Each
-    combination reuses one base vector and one row buffer, and evaluates
-    ``|(base + bank) - target| @ quad`` in that order, so the result is
-    bit-identical to fresh temporaries.  The gemv stays one call over all
-    rows: splitting it into row chunks changes its rounding.
+    def sweep_level0(self, target: np.ndarray):
+        """The level-0 sweep of the padded ``target``: what
+        ``_sweep_full_grid`` returns over all rows, from the rows that can
+        hold its minimiser.
+
+        The mixture a and the target are nonnegative, so |a - target| <=
+        U, the larger of the banks' summed peaks and the target's peak,
+        and every candidate's L1 objective is at least its ``l2_table``
+        entry over U.  The row of the L2 argmin is swept first; its
+        minimum W0 bounds the optimum from above, and only the rows whose
+        bound is within ``slack`` of W0 are swept, that row once.
+        """
+        table = self.l2_table(target)
+        peak = max(self.peak0, float(target.max()))
+        first = tuple(int(c) for c in
+                      np.unravel_index(int(table.argmin()), table.shape)[:-1])
+        first_objs = _row_objectives(target, self.quad, self.banks0, first,
+                                     _row_buffers(target, self.banks0))
+        w0 = float(first_objs.min())
+        # Skipping a row is exact when its minimum exceeds the optimum by
+        # more than the sweep's 1e-12 tie tolerances can chain over n_rows
+        # rows: it then changes neither the winner nor the tie-break.  The
+        # rest covers rounding: the L1 sums, the expanded L2 sums and the
+        # summed banks add nonnegative terms, so each is within a relative
+        # gamma of its exact value, and they total at most w0 + 1,
+        # 2 U mass and mass.
+        k = table.ndim
+        n_rows = table.size // table.shape[-1]
+        mass = self.mass0 + float(target @ self.quad)
+        gamma = 2.0 * (target.size + k * k + k + 4) * np.finfo(float).eps
+        slack = (2e-12 * (n_rows + 3) * (1.0 + w0)
+                 + gamma * (w0 + 1.0 + 3.0 * mass))
+        keep = np.asarray(table.min(axis=-1) <= peak * (w0 + slack))
+        keep[first] = True
+        return _sweep_full_grid(target, self.quad, self.banks0, self.axes0,
+                                map(tuple, np.argwhere(keep).tolist()),
+                                {first: first_objs})
+
+
+def _row_buffers(target, banks):
+    """Scratch for ``_row_objectives``: the summed earlier banks, the
+    row block and its objectives."""
+    return (np.empty(target.size), np.empty_like(banks[-1]),
+            np.empty(banks[-1].shape[0]))
+
+
+def _row_objectives(target, quad, banks, combo, buffers):
+    """Objectives of one row: the candidates ``combo`` on every axis but
+    the last, and each candidate of the last.
+
+    Evaluates ``|(base + bank) - target| @ quad`` in that order, with
+    ``base`` the earlier axes' bank rows summed in axis order, so the
+    result is bit-identical to fresh temporaries.  The gemv stays one
+    call over the whole row: splitting it into chunks changes its
+    rounding.
     """
-    last_bank = banks[-1]
-    base = np.empty(target.size)
-    rows = np.empty_like(last_bank)
-    objs = np.empty(last_bank.shape[0])
+    base, rows, objs = buffers
+    base.fill(0.0)
+    for j, c in enumerate(combo):
+        np.add(base, banks[j][c], out=base)
+    np.add(base, banks[-1], out=rows)
+    np.subtract(rows, target, out=rows)
+    np.abs(rows, out=rows)
+    return np.matmul(rows, quad, out=objs)
+
+
+def _sweep_full_grid(target, quad, banks, axes, combos, known=None):
+    """Lexicographic sweep over the rows ``combos`` of a candidate grid.
+
+    A row holds one candidate of every axis but the last, given by its
+    index tuple, and every candidate of the last axis.  ``combos`` lists
+    the rows to sweep in lexicographic order; ``known`` maps rows whose
+    objectives are already computed to them.  Returns the
+    lexicographically smallest argmin over those rows and its objective:
+    earlier candidates win ties through a strict-improvement threshold.
+    """
+    buffers = _row_buffers(target, banks)
     best_obj = math.inf
     best_theta = None
-    for combo in itertools.product(*(range(a.size) for a in axes[:-1])):
-        base.fill(0.0)
-        for j, c in enumerate(combo):
-            np.add(base, banks[j][c], out=base)
-        np.add(base, last_bank, out=rows)
-        np.subtract(rows, target, out=rows)
-        np.abs(rows, out=rows)
-        np.matmul(rows, quad, out=objs)
+    for combo in combos:
+        objs = known.get(combo) if known else None
+        if objs is None:
+            objs = _row_objectives(target, quad, banks, combo, buffers)
         row_min = float(objs.min())
         tie = 1e-12 * (1.0 + abs(row_min))
         if best_theta is None \

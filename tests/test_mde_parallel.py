@@ -1,10 +1,13 @@
-"""The optimized minimum-distance solver against its loop-form oracle, and
-the shared per-x solve pool against a serial loop.
+"""The optimized minimum-distance solver against its loop-form oracle, its
+screened level-0 sweep against the exhaustive one, and the shared per-x
+solve pool against a serial loop.
 
-Equality is exact throughout: the optimized sweep keeps the oracle's
+Results are compared exactly: the optimized sweep keeps the oracle's
 arithmetic and its order, so any difference is a defect, not rounding.
+Only the screen's L2 table, a sum in another order, gets a tolerance.
 """
 
+import itertools
 import os
 import signal
 import sys
@@ -126,6 +129,82 @@ def test_context_rejects_other_inputs():
     with pytest.raises(ValueError, match="MdeContext"):
         mde_at_x(p_hat, lambdas, f_hats[0],
                  MdeConfig(B=b_bound, coarse_grid=13), context=ctx)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_solver_matches_oracle_four_components(seed):
+    p_hat, lambdas, f_hats, b_bound = random_problem(seed, 4)
+    cfg = MdeConfig(B=b_bound, coarse_grid=5, refine_levels=seed % 4)
+    want = minimize_l1(p_hat, lambdas, f_hats, cfg)
+    assert mde_at_x(p_hat, lambdas, f_hats, cfg) == want
+    pooled = minimize_l1(p_hat, lambdas, [f_hats[0]] * 4, cfg)
+    assert mde_at_x(p_hat, lambdas, f_hats[0], cfg) == pooled
+
+
+# ---------------------------------------------------------------------------
+# level-0 L2 screen == exhaustive level-0 sweep
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 4]),
+       tie=st.booleans())
+def test_screened_level0_equals_full_sweep(seed, k, tie):
+    p_hat, lambdas, f_hats, b_bound = random_problem(seed, k)
+    coarse = {1: 61, 2: 31, 3: 9, 4: 5}[k]
+    if tie:
+        # Equal weights and one shared density: every ordering of the
+        # lattice shifts that built the target matches it, so rows tie.
+        lambdas, f_hats = (1.0 / k,) * k, [f_hats[0]] * k
+    ctx = MdeContext(p_hat.spec(), lambdas, f_hats,
+                     MdeConfig(B=b_bound, coarse_grid=coarse))
+    rng = np.random.default_rng(seed)
+    if tie:
+        target = sum(ctx.banks0[0][c]
+                     for c in rng.integers(0, coarse, size=k))
+    else:
+        zeros = np.zeros(ctx.pad)
+        target = np.concatenate([zeros, p_hat.values, zeros])
+    theta, obj = ctx.sweep_level0(target)
+    full_theta, full_obj = regfit._sweep_full_grid(
+        target, ctx.quad, ctx.banks0, ctx.axes0,
+        itertools.product(*(range(a.size) for a in ctx.axes0[:-1])))
+    assert np.array_equal(theta, full_theta) and obj == full_obj
+
+    # The screen's table and bound at random lattice points: the table
+    # matches the direct weighted sum to 1e-9 of its terms' scale, and
+    # the L1 objective is at least the squared L2 distance over U.
+    table = ctx.l2_table(target)
+    peak = max(sum(b.max() for b in ctx.banks0), target.max())
+    for idx in rng.integers(0, coarse, size=(20, k)):
+        mix = sum(ctx.banks0[j][c] for j, c in enumerate(idx))
+        l2 = ctx.quad @ (mix - target) ** 2
+        scale = ctx.quad @ (mix ** 2 + target ** 2)
+        assert abs(table[tuple(idx)] - l2) <= 1e-9 * scale
+        assert ctx.quad @ np.abs(mix - target) >= l2 / peak * (1 - 1e-12)
+
+
+def test_screen_skips_most_level0_rows(monkeypatch):
+    # A screen that silently swept every row would still give the same
+    # fits; count the level-0 rows swept per x instead.
+    model = MixedRegressionModel(
+        a=-1.0, b=1.0, lambdas=(0.35, 0.65),
+        m=(RegressionCurve.line(1.0), RegressionCurve.line(-1.0)),
+        sigma=0.2, g0=MixingSpec.point_mass(), x0=1.0)
+    data = sample_mixed_regression(model, 5000, 0)
+    swept = []
+    original = regfit._sweep_full_grid
+
+    def counting(target, quad, banks, axes, combos, known=None):
+        combos = list(combos)
+        if axes[0].size == 61:  # level 0; refinement levels sweep 13
+            swept.append(len(combos))
+        return original(target, quad, banks, axes, combos, known)
+
+    monkeypatch.setattr(regfit, "_sweep_full_grid", counting)
+    fit_mixed_regression(data, 2, 0.2, a=-1.0, b=1.0)
+    assert len(swept) == regfit.X_GRID_POINTS
+    assert sum(n < 61 for n in swept) >= 0.9 * len(swept)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,22 @@ def test_projection_config_validation():
         ProjectionConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("value", [100.5, 100.0, True])
+def test_projection_config_atom_count_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="^L must be an integer"):
+        ProjectionConfig(L=value)
+    cfg = ProjectionConfig(L=np.int64(100))
+    assert type(cfg.L) is int and cfg == ProjectionConfig(L=100)
+
+
+@pytest.mark.parametrize("value", [10.5, 10.0, True])
+def test_projection_config_max_iters_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="^max_iters must be an integer"):
+        ProjectionConfig(max_iters=value)
+    cfg = ProjectionConfig(max_iters=np.uint16(10))
+    assert type(cfg.max_iters) is int and cfg.max_iters == 10
+
+
 def test_projection_config_bounds_atoms():
     assert ProjectionConfig(L=2 ** 16).L == 65536
     with pytest.raises(ValueError,

@@ -124,6 +124,26 @@ def test_mde_config_bounds_refine_levels():
         MdeConfig(B=1.0, coarse_grid=3, refine_levels=22)
 
 
+@pytest.mark.parametrize("value", [5.5, 61.0, True, "61"])
+def test_mde_config_coarse_grid_must_be_an_integer(value):
+    # A float used to pass here and fail as a TypeError on a pool thread.
+    with pytest.raises(ValueError, match="^coarse_grid must be an integer"):
+        MdeConfig(B=1.0, coarse_grid=value)
+    cfg = MdeConfig(B=1.0, coarse_grid=np.int64(21))
+    assert type(cfg.coarse_grid) is int
+    assert cfg == MdeConfig(B=1.0, coarse_grid=21)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True])
+def test_mde_config_refine_levels_must_be_an_integer(value):
+    # True used to run one refinement level.
+    with pytest.raises(ValueError, match="^refine_levels must be an integer"):
+        MdeConfig(B=1.0, refine_levels=value)
+    cfg = MdeConfig(B=1.0, refine_levels=np.int32(2))
+    assert type(cfg.refine_levels) is int
+    assert cfg.candidates() == [61, 13, 13]
+
+
 def test_regression_fit_validation():
     mix = _exact_mixture(0.95)
     xs = (0.0, 0.5, 1.0)
