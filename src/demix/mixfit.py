@@ -164,7 +164,7 @@ class MixtureFit:
                 == len(self.f_hats) == len(self.cells)):
             raise ValueError("component fields must all have length k")
         total = sum(self.lambdas_hat)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails it
             raise ValueError(f"weights sum to {total:.12g}, expected 1")
 
     def to_json_obj(self) -> dict:

@@ -4,18 +4,18 @@ The procedure has three steps.  A conditional density estimate at a point
 of good separation feeds the project-smooth-denoise pipeline, which
 recovers the weights and the (common) error density.  Then, at every point
 of an x-grid, the regression values are read off a minimum-distance fit:
-the vector theta minimizing the L¹ gap between the weighted, shifted error
-densities and the local conditional density estimate.  Component labels
-are positional throughout: position k carries the k-th smallest recovered
-weight, its error density, and one regression curve.
+the vector theta minimizing the L¹ gap between the weighted, shifted
+copies of that one density and the local conditional density estimate.
+Component labels are positional throughout: position k carries the k-th
+smallest recovered weight and one regression curve.
 
 The per-x solves are independent and run on one thread pool shared by the
 whole process, with one thread per CPU the process may use; concurrent
 fits submit into the same pool.  What the solves of one fit share (the
-padded grid, the level-0 shift banks and their Gram matrices) is built
-once in an ``MdeContext``, whose ``solve`` runs the coarse sweep and its
-refinement levels for one x.  The coarse sweep is screened: a
-candidate's squared L2 distance to the target, read off the Grams, over
+padded grid, the density's level-0 shift bank and its Gram matrix) is
+built once in an ``MdeContext``, whose ``solve`` runs the coarse sweep and
+its refinement levels for one x.  The coarse sweep is screened: a
+candidate's squared L2 distance to the target, read off the Gram, over
 a bound on |mixture - target| is a lower bound on its L1 objective, so
 only the rows of the level-0 grid that this bound cannot rule out get an
 L1 sweep, and the result is the exhaustive sweep's, bit for bit.  Every
@@ -236,35 +236,32 @@ class MdeContext:
     """What the minimum-distance solves of one fit share, built once.
 
     Holds the response grid padded by B on both sides (so shifts lose no
-    mass) with its trapezoid weights, and the level-0 shift banks with
-    what their L2 screen needs: their Gram matrices under those weights
-    (``grams0[j, m]`` for j <= m), their summed peaks and their summed
-    largest row masses.  Level 0 sweeps the whole box [-B, B] on every
-    axis, so all of these depend on the grid, weights, densities and
-    settings but not on the target.
+    mass) with its trapezoid weights, the level-0 shift bank ``bank0`` of
+    the one error density, its copies ``banks0[j] = lambdas[j] * bank0``,
+    and what the L2 screen needs: the bank's Gram matrix under those
+    weights, the copies' summed peaks and their summed largest row masses.
+    Level 0 sweeps the whole box [-B, B] on every axis, so all of these
+    depend on the grid, weights, density and settings but not on the target.
     ``solve`` fits one target; it writes nothing here, so concurrent
     solves may share one context.
     """
 
-    def __init__(self, grid: GridSpec, lambdas, f_hats, cfg: MdeConfig):
+    def __init__(self, grid: GridSpec, lambdas, f_hat, cfg: MdeConfig):
         lambdas = np.asarray(lambdas, dtype=float)
         k = lambdas.size
-        if k == 0 or np.any(lambdas < 0):
-            raise ValueError("lambdas must be nonnegative")
-        if abs(float(lambdas.sum()) - 1.0) > 1e-6:
-            raise ValueError("lambdas must lie on the simplex")
-        if len(f_hats) != k:
-            raise ValueError("need one density per weight")
-        for f in f_hats:
-            if not f.normalized:
-                raise ValueError(
-                    "component densities must be flagged normalized")
+        if k == 0 or not (np.all(lambdas >= 0)  # NaN fails both
+                          and abs(float(lambdas.sum()) - 1.0) <= 1e-6):
+            raise ValueError(
+                f"lambdas must lie on the simplex, got {lambdas.tolist()}")
+        if not (isinstance(f_hat, GridDensity) and f_hat.normalized):
+            raise ValueError(f"f_hat must be one GridDensity flagged "
+                             f"normalized, got {f_hat!r}")
         if cfg.B is None:
             raise ValueError("MdeConfig.B must be resolved before solving")
         cfg.check_sweep(k)
         self.grid = grid
         self.lambdas = lambdas
-        self.f_hats = tuple(f_hats)
+        self.f_hat = f_hat
         self.cfg = cfg
         spacing = grid.spacing
         self.pad = int(math.ceil(cfg.B / spacing)) + 1
@@ -276,27 +273,24 @@ class MdeContext:
         self.quad = trapezoid_weights(self.pts.size, spacing)
         axis = _axis_candidates(0.0, cfg.B, cfg.B, cfg.coarse_grid)
         self.axes0 = [axis] * k
-        self.banks0 = [_shift_bank(self.pts, f, lam, axis)
-                       for f, lam in zip(self.f_hats, lambdas)]
-        self.grams0 = {(j, m): (self.banks0[j] * self.quad)
-                       @ self.banks0[m].T
-                       for j in range(k) for m in range(j, k)}
+        self.bank0 = _shift_bank(self.pts, f_hat, 1.0, axis)
+        self.banks0 = [lam * self.bank0 for lam in lambdas]
+        self.gram0 = (self.bank0 * self.quad) @ self.bank0.T
         self.peak0 = sum(float(b.max()) for b in self.banks0)
         self.mass0 = sum(float((b @ self.quad).max()) for b in self.banks0)
-        for arr in (self.pts, self.quad, axis, *self.banks0,
-                    *self.grams0.values()):
+        for arr in (self.pts, self.quad, axis, self.bank0, *self.banks0,
+                    self.gram0):
             arr.flags.writeable = False
 
-    def check_serves(self, p_hat: GridDensity, lambdas, f_hats,
+    def check_serves(self, p_hat: GridDensity, lambdas, f_hat,
                      cfg: MdeConfig) -> None:
         """Reject a solve whose inputs differ from the context's."""
         if (p_hat.spec() != self.grid or cfg != self.cfg
                 or not np.array_equal(np.asarray(lambdas, dtype=float),
                                       self.lambdas)
-                or len(f_hats) != len(self.f_hats)
-                or any(f is not g for f, g in zip(f_hats, self.f_hats))):
+                or f_hat is not self.f_hat):
             raise ValueError("MdeContext was built for another grid, "
-                             "weights, densities or MdeConfig")
+                             "lambdas, f_hat or MdeConfig")
 
     def solve(self, p_hat: GridDensity):
         """``(theta, objective)`` of the minimum-distance fit to ``p_hat``.
@@ -310,8 +304,8 @@ class MdeContext:
         theta, best_obj = self.sweep_level0(target)
         for level in range(1, self.cfg.refine_levels + 1):
             axes = _refine_axes(self.cfg, level, theta)
-            banks = [_shift_bank(self.pts, *args) for args
-                     in zip(self.f_hats, self.lambdas, axes)]
+            banks = [_shift_bank(self.pts, self.f_hat, lam, axis)
+                     for lam, axis in zip(self.lambdas, axes)]
             cand_theta, cand_obj = _sweep_full_grid(
                 target, self.quad, banks, axes,
                 itertools.product(*(range(a.size) for a in axes[:-1])))
@@ -323,20 +317,23 @@ class MdeContext:
         """``sum(quad * (a - target)**2)`` for the mixture ``a`` of every
         level-0 candidate, indexed by the candidates' axis positions.
 
-        Expanding the square leaves the cached Grams, one gemv of each
-        bank against ``quad * target``, and the target's own square.
+        Expanding the square leaves the one Gram matrix scaled by
+        ``lambdas[j] * lambdas[m]``, one gemv of the bank against ``quad *
+        target`` scaled by ``lambdas[j]``, and the target's own square.
         """
-        k = len(self.banks0)
+        k = self.lambdas.size
         n = self.axes0[0].size
         weighted = self.quad * target
+        lam2 = np.multiply.outer(self.lambdas, self.lambdas)
+        cross = np.multiply.outer(2.0 * self.lambdas, self.bank0 @ weighted)
         table = np.full((n,) * k, float(target @ weighted))
-        for (j, m), gram in self.grams0.items():
+        for j, m in itertools.combinations_with_replacement(range(k), 2):
             shape = [1] * k
             shape[j] = shape[m] = n
             if j == m:
-                term = np.diagonal(gram) - 2.0 * (self.banks0[j] @ weighted)
+                term = lam2[j, j] * np.diagonal(self.gram0) - cross[j]
             else:
-                term = 2.0 * gram
+                term = (2.0 * lam2[j, m]) * self.gram0
             table += term.reshape(shape)
         return table
 
@@ -362,10 +359,14 @@ class MdeContext:
         # Skipping a row is exact when its minimum exceeds the optimum by
         # more than the sweep's 1e-12 tie tolerances can chain over n_rows
         # rows: it then changes neither the winner nor the tie-break.  The
-        # rest covers rounding: the L1 sums, the expanded L2 sums and the
-        # summed banks add nonnegative terms, so each is within a relative
-        # gamma of its exact value, and they total at most w0 + 1,
-        # 2 U mass and mass.
+        # rest covers rounding: the L1 sums and the summed banks add
+        # nonnegative terms, and an expanded L2 sum's terms total at most
+        # quad @ (a + target)**2 <= 2 U mass in magnitude, so each is within
+        # a relative gamma of its exact value, and they total at most
+        # w0 + 1, 2 U mass and mass.  gamma covers 2 (n + k*k + k + 4)
+        # roundings; an L2 entry takes n + 1 in a Gram or gemv sum, two in
+        # lambda products, one in the diagonal's difference, k (k + 1) / 2
+        # in the table's sum and two as banks0[j] rounds lambdas[j] * bank0.
         k = table.ndim
         n_rows = table.size // table.shape[-1]
         mass = self.mass0 + float(target @ self.quad)
@@ -451,22 +452,20 @@ def _refine_axes(cfg: MdeConfig, level: int, centers) -> list:
     return [_axis_candidates(c, half, cfg.B, count) for c in centers]
 
 
-def mde_at_x(p_hat_x: GridDensity, lambdas, f_hats, cfg: MdeConfig, *,
-             context: MdeContext | None = None):
+def mde_at_x(p_hat_x: GridDensity, lambdas, f_hat: GridDensity,
+             cfg: MdeConfig, *, context: MdeContext | None = None):
     """Regression values at one x by minimum distance.
 
-    Minimizes ``||sum_k lambda_k f_k(. - theta_k) - p_hat_x||_1`` over the
-    box; exact ties go to the lexicographically smallest theta.  ``f_hats``
-    holds one density per component, or is one density all share.
+    Minimizes ``||sum_k lambda_k f_hat(. - theta_k) - p_hat_x||_1`` over
+    the box, every component shifting a copy of the one error density
+    ``f_hat``; exact ties go to the lexicographically smallest theta.
     ``context`` carries what solves on one grid with the same weights,
-    densities and settings share; the result is the same with or without.
+    density and settings share; the result is the same with or without.
     """
-    if isinstance(f_hats, GridDensity):
-        f_hats = [f_hats] * len(tuple(lambdas))
     if context is None:
-        context = MdeContext(p_hat_x.spec(), lambdas, list(f_hats), cfg)
+        context = MdeContext(p_hat_x.spec(), lambdas, f_hat, cfg)
     else:
-        context.check_serves(p_hat_x, lambdas, f_hats, cfg)
+        context.check_serves(p_hat_x, lambdas, f_hat, cfg)
     return context.solve(p_hat_x)
 
 
@@ -588,6 +587,7 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     n = len(data)
     if k < 1:
         raise ValueError("K must be at least 1")
+    n_x_grid = require_int(n_x_grid, "n_x_grid")
     if n_x_grid < 1:
         raise ValueError(f"n_x_grid must be at least 1, got {n_x_grid}")
     if n < 50 * k:
@@ -631,7 +631,7 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     if mde_cfg.B is None:
         mde_cfg = replace(mde_cfg, B=1.1 * y_abs)
     lambdas = mixture.lambdas_hat
-    context = MdeContext(y_grid, lambdas, [f_pooled] * k, mde_cfg)
+    context = MdeContext(y_grid, lambdas, f_pooled, mde_cfg)
 
     def solve(x):
         try:

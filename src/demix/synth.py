@@ -50,10 +50,11 @@ def _normalized_weights(lambdas) -> tuple[float, ...]:
     arr = np.asarray(lambdas, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("component weights must be a nonempty vector")
-    if np.any(arr <= 0):
-        raise ValueError("component weights must be strictly positive")
+    if not np.all(arr > 0):  # NaN fails the comparison
+        raise ValueError(
+            f"component weights must be strictly positive, got {arr.tolist()}")
     total = float(arr.sum())
-    if abs(total - 1.0) > LAMBDA_SUM_TOL:
+    if not abs(total - 1.0) <= LAMBDA_SUM_TOL:
         raise ValueError(f"component weights sum to {total:.12g}, expected 1")
     return tuple(arr / total)
 

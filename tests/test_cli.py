@@ -1058,6 +1058,26 @@ def test_eval_malformed_fit_file_exits_2_naming_it(tmp_path, capsys,
     assert err.startswith(f"error: fit file {path}:") and named in err, err
 
 
+def test_eval_fit_file_with_nan_weight_exits_2_naming_it(tmp_path, capsys):
+    # NaN fails every comparison, so a weight check written as "sum
+    # differs from 1 by more than tol" would let this file through.
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    model_obj = crossing_lines_obj()
+    spec = write_spec(tmp_path / "exp.json", model_obj, [100], [0],
+                      out=out)
+    record = _perfect_fit_record(MixedRegressionModel.from_json_obj(
+        model_obj), 100, 0)
+    record["fit"]["mixture"]["lambdas_hat"][0] = math.nan
+    path = os.path.join(out, "fit_regression_n100_seed0.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+    assert main(["eval", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fit file {path}:") and "nan" in err, err
+    assert not os.path.exists(os.path.join(out, "eval_report.json"))
+
+
 def test_eval_marks_failed_seeds(tmp_path):
     out = str(tmp_path / "out")
     os.makedirs(out)

@@ -71,8 +71,6 @@ def test_solver_matches_oracle(seed, k):
     coarse = {1: 61, 2: 31, 3: 9}[k]
     cfg = MdeConfig(B=b_bound, coarse_grid=coarse,
                     refine_levels=seed % 4)
-    want = minimize_l1(p_hat, lambdas, f_hats, cfg)
-    assert mde_at_x(p_hat, lambdas, f_hats, cfg) == want
     pooled = minimize_l1(p_hat, lambdas, [f_hats[0]] * k, cfg)
     assert mde_at_x(p_hat, lambdas, f_hats[0], cfg) == pooled
 
@@ -108,7 +106,7 @@ def test_shared_context_matches_oracle():
     _, lambdas, f_hats, b_bound = random_problem(5, 2)
     spec = GridSpec(-2.0, 2.0, 300)
     cfg = MdeConfig(B=b_bound, coarse_grid=21)
-    ctx = MdeContext(spec, lambdas, [f_hats[0]] * 2, cfg)
+    ctx = MdeContext(spec, lambdas, f_hats[0], cfg)
     for _ in range(5):
         p = bumpy_density(rng, spec, normalized=False)
         assert (mde_at_x(p, lambdas, f_hats[0], cfg, context=ctx)
@@ -118,7 +116,7 @@ def test_shared_context_matches_oracle():
 def test_context_rejects_other_inputs():
     p_hat, lambdas, f_hats, b_bound = random_problem(9, 2)
     cfg = MdeConfig(B=b_bound, coarse_grid=11)
-    ctx = MdeContext(p_hat.spec(), lambdas, [f_hats[0]] * 2, cfg)
+    ctx = MdeContext(p_hat.spec(), lambdas, f_hats[0], cfg)
     other_grid = GridDensity(p_hat.lo, p_hat.hi + 1.0, p_hat.values)
     with pytest.raises(ValueError, match="MdeContext"):
         mde_at_x(other_grid, lambdas, f_hats[0], cfg, context=ctx)
@@ -136,8 +134,6 @@ def test_context_rejects_other_inputs():
 def test_solver_matches_oracle_four_components(seed):
     p_hat, lambdas, f_hats, b_bound = random_problem(seed, 4)
     cfg = MdeConfig(B=b_bound, coarse_grid=5, refine_levels=seed % 4)
-    want = minimize_l1(p_hat, lambdas, f_hats, cfg)
-    assert mde_at_x(p_hat, lambdas, f_hats, cfg) == want
     pooled = minimize_l1(p_hat, lambdas, [f_hats[0]] * 4, cfg)
     assert mde_at_x(p_hat, lambdas, f_hats[0], cfg) == pooled
 
@@ -153,10 +149,10 @@ def test_screened_level0_equals_full_sweep(seed, k, tie):
     p_hat, lambdas, f_hats, b_bound = random_problem(seed, k)
     coarse = {1: 61, 2: 31, 3: 9, 4: 5}[k]
     if tie:
-        # Equal weights and one shared density: every ordering of the
-        # lattice shifts that built the target matches it, so rows tie.
-        lambdas, f_hats = (1.0 / k,) * k, [f_hats[0]] * k
-    ctx = MdeContext(p_hat.spec(), lambdas, f_hats,
+        # Equal weights: every ordering of the lattice shifts that built
+        # the target matches it, so rows tie.
+        lambdas = (1.0 / k,) * k
+    ctx = MdeContext(p_hat.spec(), lambdas, f_hats[0],
                      MdeConfig(B=b_bound, coarse_grid=coarse))
     rng = np.random.default_rng(seed)
     if tie:

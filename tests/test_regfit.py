@@ -27,6 +27,7 @@ from demix.mixfit import (
 )
 from demix.regfit import (
     MdeConfig,
+    MdeContext,
     RegressionFit,
     evaluate_regression_fit,
     find_separation_point,
@@ -217,6 +218,30 @@ def test_mde_input_validation():
         mde_at_x(p, (1.0,), f, MdeConfig())  # B unresolved
 
 
+def test_mde_rejects_nan_weights():
+    # NaN fails every comparison, so "weight < 0" and "|sum - 1| > tol"
+    # checks would let these through to the sweep.
+    p = blur_density([-1.0, 1.0], [0.4, 0.6], 0.25)
+    f = blur_density([0.0], [1.0], 0.25)
+    cfg = MdeConfig(B=2.5, coarse_grid=11, refine_levels=1)
+    for lambdas in ((math.nan, 1.0), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="^lambdas must lie on"):
+            mde_at_x(p, lambdas, f, cfg)
+
+
+def test_mde_takes_one_density_for_every_component():
+    # Every component shifts a copy of one error density; a list or tuple
+    # of per-component densities is refused by name.
+    p = blur_density([-1.0, 1.0], [0.4, 0.6], 0.25)
+    f = blur_density([0.0], [1.0], 0.25)
+    cfg = MdeConfig(B=2.0, coarse_grid=11, refine_levels=1)
+    for f_hats in ([f, f], (f, f)):
+        with pytest.raises(ValueError, match="^f_hat must be one"):
+            mde_at_x(p, (0.4, 0.6), f_hats, cfg)
+        with pytest.raises(ValueError, match="^f_hat must be one"):
+            MdeContext(p.spec(), (0.4, 0.6), f_hats, cfg)
+
+
 def test_mde_sweep_bound_names_the_largest_coarse_grid():
     # At most 61**3 level-0 candidates per x: the default 61 points per
     # axis reach it at K=3, and K=2 allows 476, K=4 21, K=5 11.
@@ -250,37 +275,6 @@ def test_mde_four_components_grid():
     theta, obj = mde_at_x(p, lambdas, f, cfg)
     assert theta == pytest.approx(centers, abs=cfg.resolution() * 3.5)
     assert obj <= 1e-2
-
-
-# ---------------------------------------------------------------------------
-# minimum-distance estimation, per-component error densities
-# ---------------------------------------------------------------------------
-
-def test_mde_general_reduces_to_equal():
-    p = blur_density([-1.5, 0.0, 1.5], [0.2, 0.3, 0.5], 0.25)
-    f = blur_density([0.0], [1.0], 0.25)
-    cfg = MdeConfig(B=2.0, coarse_grid=21, refine_levels=2)
-    theta_eq, obj_eq = mde_at_x(p, (0.2, 0.3, 0.5), f, cfg)
-    theta_gen, obj_gen = mde_at_x(p, (0.2, 0.3, 0.5), (f, f, f), cfg)
-    assert max(abs(a - b) for a, b in zip(theta_eq, theta_gen)) <= 1e-12
-    assert abs(obj_eq - obj_gen) <= 1e-12
-
-
-def test_mde_general_distinct_shapes():
-    # Forward-construct the target through the documented shift operator
-    # (linear interpolation, zero extrapolation), then invert it.
-    f1 = blur_density([0.0], [1.0], 0.2)
-    f2 = blur_density([-0.5, 0.5], [0.5, 0.5], 0.2)
-    lams = (0.45, 0.55)
-    theta_true = (-1.2, 1.0)
-    mix = np.zeros_like(Y_PTS)
-    for lam, t, f in zip(lams, theta_true, (f1, f2)):
-        mix = mix + lam * np.interp(Y_PTS - t, Y_PTS, f.values,
-                                    left=0.0, right=0.0)
-    p = GridDensity(Y_SPEC.lo, Y_SPEC.hi, mix, normalized=True)
-    theta, obj = mde_at_x(p, lams, (f1, f2), MdeConfig(B=2.0))
-    assert theta == pytest.approx(theta_true, abs=1e-9)
-    assert obj <= 1e-12  # objective vanishes at the generating parameters
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +492,15 @@ def test_fit_rejects_empty_x_grid():
         fit_mixed_regression(data, 2, 0.2, x0=1.0, n_x_grid=0)
 
 
+@pytest.mark.parametrize("value", [5.5, True])
+def test_fit_checks_n_x_grid_before_any_work(value):
+    data = sample_mixed_regression(crossing_lines_model(), 400, seed=0)
+    with mock.patch("demix.regfit.ConditionalKde",
+                    side_effect=AssertionError("fit started")):
+        with pytest.raises(ValueError, match="^n_x_grid must be an integer"):
+            fit_mixed_regression(data, 2, 0.2, x0=1.0, n_x_grid=value)
+
+
 def test_fit_finds_x0_when_omitted():
     model = crossing_lines_model()
     data = sample_mixed_regression(model, 5000, seed=1)
@@ -694,9 +697,9 @@ def test_evaluate_rejects_mismatched_inputs():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]),
-       shared=st.booleans(), refine_levels=st.integers(0, 2))
+       refine_levels=st.integers(0, 2))
 def test_mde_recovers_theta_exactly_on_its_own_candidates(
-        seed, k, shared, refine_levels):
+        seed, k, refine_levels):
     # The target is built from level-0 candidates with the solver's own
     # arithmetic, so the sweep meets it with objective exactly 0.
     rng = np.random.default_rng(seed)
@@ -713,18 +716,18 @@ def test_mde_recovers_theta_exactly_on_its_own_candidates(
         return GridDensity(-half, half, vals / np.trapezoid(vals, f_pts),
                            normalized=True)
 
-    f_hats = [bump()] * k if shared else [bump() for _ in range(k)]
+    f = bump()
     lambdas = tuple(rng.dirichlet(np.ones(k)))
     axis = np.linspace(-b_bound, b_bound, coarse)
     theta = axis[np.sort(rng.choice(coarse, size=k, replace=False))]
     reach = b_bound + half + 0.5
     spec = GridSpec(-reach, reach, int(rng.integers(100, 1500)))
     target = np.zeros(spec.n_points)
-    for lam, f, t in zip(lambdas, f_hats, theta):
+    for lam, t in zip(lambdas, theta):
         target += lam * np.interp(spec.points() - t, f.grid, f.values,
                                   left=0.0, right=0.0)
     p = GridDensity(spec.lo, spec.hi, target)
-    got = mde_at_x(p, lambdas, f_hats[0] if shared else f_hats, cfg)
+    got = mde_at_x(p, lambdas, f, cfg)
     assert got == (tuple(float(v) for v in theta), 0.0)
 
 
@@ -739,3 +742,47 @@ def test_non_finite_regression_settings_are_rejected_by_name(value):
         fit_mixed_regression(data, 2, 0.2, x0=value)
     with pytest.raises(ValueError, match="^window "):
         find_separation_point(data, 2, window=value)
+
+
+# ---------------------------------------------------------------------------
+# exact invariances of the whole fit, over generated two-line models
+# ---------------------------------------------------------------------------
+
+@st.composite
+def two_line_samples(draw):
+    """A crossing pair of lines with distinct weights, and its sample."""
+    slopes = draw(st.tuples(st.floats(0.8, 1.5), st.floats(0.8, 1.5)))
+    intercepts = draw(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)))
+    small = draw(st.floats(0.25, 0.4))
+    model = MixedRegressionModel(
+        a=-1.0, b=1.0, lambdas=(small, 1.0 - small),
+        m=(RegressionCurve.line(slopes[0], intercepts[0]),
+           RegressionCurve.line(-slopes[1], intercepts[1])),
+        sigma=0.2, g0=MixingSpec.point_mass(), x0=1.0)
+    return sample_mixed_regression(model, 4000,
+                                   seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def invariance_fit(data):
+    return fit_mixed_regression(
+        data, 2, 0.2, mde_cfg=MdeConfig(coarse_grid=31, refine_levels=2),
+        n_x_grid=41)
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=two_line_samples(), order_seed=st.integers(0, 2**32 - 1))
+def test_fit_json_ignores_row_order(data, order_seed):
+    order = np.random.default_rng(order_seed).permutation(len(data))
+    fit = invariance_fit(data)
+    shuffled = invariance_fit(Dataset(data.x[order], data.y[order]))
+    assert (json.dumps(shuffled.to_json_obj())
+            == json.dumps(fit.to_json_obj()))
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=two_line_samples())
+def test_mirrored_responses_mirror_the_curves(data):
+    fit = invariance_fit(data)
+    mirrored = invariance_fit(Dataset(data.x, -data.y))
+    np.testing.assert_allclose(np.asarray(mirrored.m_hat),
+                               -np.asarray(fit.m_hat), rtol=0, atol=1e-12)

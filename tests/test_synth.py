@@ -190,6 +190,18 @@ def test_model_rejects_bad_weights_and_domain():
         crossing_lines_model(a=2.0, b=-2.0)
 
 
+def test_models_reject_nan_weights():
+    # NaN fails every comparison, so "weight <= 0" and "|sum - 1| > tol"
+    # checks would let these through to numpy's sampler.
+    for lambdas in ((math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="weights"):
+            crossing_lines_model(lambdas=lambdas)
+        with pytest.raises(ValueError, match="weights"):
+            VanillaMixtureModel(lambdas=lambdas, mus=(-2.5, 2.5),
+                                sigma=0.25,
+                                gks=(MixingSpec.point_mass(),) * 2)
+
+
 def test_model_json_round_trip():
     model = crossing_lines_model(g0=MixingSpec.uniform(-0.1, 0.1))
     back = MixedRegressionModel.from_json_obj(model.to_json_obj())
