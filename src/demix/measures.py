@@ -31,10 +31,24 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix, hstack, identity, vstack
+from scipy.sparse import csc_matrix, hstack, identity, vstack
 
 from .errors import ProjectionError, ProjectionWarning
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+        kSolutionStatusFeasible,
+    )
+except ImportError as exc:
+    raise ImportError(
+        "demix needs scipy>=1.15: the projection LP drives the HiGHS "
+        "binding scipy.optimize._highspy._core, which older releases lack"
+    ) from exc
 
 WEIGHT_TOL = 1e-12
 GRID_NORM_TOL = 1e-3
@@ -499,8 +513,8 @@ def _sorted_box_mixture_density(locs, wts, half_width: float,
                        norm_tol=1e-9)
 
 
-# Sparse helpers for the projection LP live here so mixfit stays free of
-# scipy.sparse plumbing.
+# The projection LP and its HiGHS plumbing live here so mixfit stays free of
+# scipy.sparse and the solver binding.
 
 # The projection LP in equality form: each residual r_i = (design @ w -
 # target)_i is split as u_i - v_i with u, v >= 0, so the grid contributes
@@ -518,57 +532,155 @@ HIGHS_SMALL_MATRIX_VALUE = 1e-9
 # Primal and dual feasibility tolerance of the projection LP.
 LP_FEASIBILITY_TOL = 1e-8
 # Largest miss of the simplex row sum(w) = 1 that passes without a warning;
-# fitter designs miss by 1e-15, small near-threshold ones by up to 4e-6.
+# fitter designs miss by 1e-15.  Small designs with near-threshold entries
+# miss by up to 4e-6 under HiGHS's scaling and by at most 1.6e-10 without
+# it, so a miss past this bound is solved again unscaled.
 SIMPLEX_ROW_TOL = 100 * LP_FEASIBILITY_TOL
+# Most atoms the projection LP starts from.  Up to this many every atom is
+# in the first and usually only round; past it the first round takes every
+# ceil(L / LP_FIRST_ROUND_ATOMS)-th atom and the rest enter by pricing.  On
+# the vanilla fit's 2048-row LPs one full solve is as fast as column
+# generation up to L of about 150, and slower beyond.
+LP_FIRST_ROUND_ATOMS = 128
+
+
+class LpSolution(tuple):
+    """``(w, objective, optimal, iterations)`` of ``weighted_l1_lp``, with
+    the number of HiGHS runs behind it as ``rounds``."""
+
+    def __new__(cls, w, objective, optimal, iterations, rounds):
+        solution = super().__new__(cls, (w, objective, optimal, iterations))
+        solution.rounds = rounds
+        return solution
 
 
 def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
                    quad_weights: np.ndarray, maxiter: int = 5000):
     """Minimize ||design @ w - target||_{1,quad} over the simplex.
 
-    Returns ``(w, objective, optimal, iterations)``, the last the HiGHS
-    iteration count.  The residuals are split into nonnegative parts,
-    design @ w - target = u - v, which HiGHS solves as the equality rows
+    Returns an ``LpSolution``, ``(w, objective, optimal, iterations)``,
+    the last the HiGHS simplex iterations summed over every run, which
+    ``maxiter`` caps.  The residuals are split into nonnegative parts,
+    design @ w - target = u - v, so HiGHS solves the equality rows
     ``[design, -I, I] @ (w, u, v) = target`` plus ``sum(w) = 1`` at cost
-    ``quad_weights`` on both u and v; the objective is evaluated on the
-    full dense design.  Raises ``ProjectionError`` when HiGHS returns no
-    solution with positive atom mass, for example on hitting ``maxiter``.
-    Warns with ``ProjectionWarning`` when it returns one short of optimal,
-    or atom weights whose sum misses 1 by more than ``SIMPLEX_ROW_TOL``
+    ``quad_weights`` on both u and v.  It solves them by column
+    generation on one live model: a first round over at most
+    ``LP_FIRST_ROUND_ATOMS`` atoms, then, from the live basis, rounds
+    that add every atom whose reduced cost under the row duals is below
+    minus the feasibility tolerance, until none is.  The result is
+    optimal for the LP over all atoms.  Atom weights that miss the
+    simplex row by more than ``SIMPLEX_ROW_TOL`` are solved again once
+    from the basis with HiGHS's scaling off.  The objective is evaluated
+    on the full dense design.
+
+    Raises ``ProjectionError`` when HiGHS leaves no solution with positive
+    atom mass, for example on hitting ``maxiter``.  Warns with
+    ``ProjectionWarning`` when it leaves one short of optimal, or atom
+    weights whose sum still misses 1 by more than ``SIMPLEX_ROW_TOL``
     before they are renormalized.
     """
     n_grid, n_atoms = design.shape
     rows, cols = np.nonzero(np.abs(design) > HIGHS_SMALL_MATRIX_VALUE)
-    a_sparse = csr_matrix((design[rows, cols], (rows, cols)),
-                          shape=design.shape)
-    eye = identity(n_grid, format="csr")
-    simplex = csr_matrix(
-        (np.ones(n_atoms), (np.zeros(n_atoms, dtype=int), range(n_atoms))),
-        shape=(1, n_atoms + 2 * n_grid),
-    )
-    a_eq = vstack([hstack([a_sparse, -eye, eye]), simplex], format="csr")
-    b_eq = np.append(target, 1.0)
-    cost = np.concatenate([np.zeros(n_atoms), quad_weights, quad_weights])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs",
-                  options={"maxiter": int(maxiter),
-                           "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
-                           "dual_feasibility_tolerance": LP_FEASIBILITY_TOL})
-    w = np.zeros(n_atoms) if res.x is None else np.maximum(res.x[:n_atoms], 0)
+    # Each atom's kept design entries, then its entry in the simplex row.
+    atom_cols = vstack([
+        csc_matrix((design[rows, cols], (rows, cols)), shape=design.shape),
+        np.ones((1, n_atoms)),
+    ], format="csc")
+    model_atoms = np.arange(0, n_atoms,
+                            -(-n_atoms // LP_FIRST_ROUND_ATOMS))
+    highs = _equality_form_model(atom_cols[:, model_atoms], target,
+                                 quad_weights)
+    # Model columns: the first round's atoms, u, v, then the added atoms.
+    residual_cols = np.s_[model_atoms.size:model_atoms.size + 2 * n_grid]
+    iterations = rounds = 0
+    scaled = True
+    while True:
+        highs.setOptionValue("simplex_iteration_limit", maxiter - iterations)
+        highs.run()
+        rounds += 1
+        info = highs.getInfo()
+        iterations += info.simplex_iteration_count
+        status = highs.getModelStatus()
+        solution = highs.getSolution()
+        w = np.zeros(n_atoms)
+        # HiGHS leaves an iterate after every run.  Read it only when it is
+        # primal feasible and the run did not stop on the iteration cap,
+        # where scipy's linprog gave no solution either.
+        if (status != HighsModelStatus.kIterationLimit
+                and info.primal_solution_status == kSolutionStatusFeasible):
+            x = np.delete(np.asarray(solution.col_value), residual_cols)
+            w[model_atoms] = np.maximum(x, 0.0)
+        if status != HighsModelStatus.kOptimal:
+            break
+        if scaled and abs(w.sum() - 1.0) > SIMPLEX_ROW_TOL:
+            # HiGHS keeps its scaled simplex state across an option change:
+            # a run right after one read atom weights summing to 0.008 on
+            # a near-threshold design.  A cleared solver started from the
+            # saved basis solves the unscaled LP.
+            basis = highs.getBasis()
+            highs.clearSolver()
+            highs.setOptionValue("simplex_scale_strategy", 0)
+            highs.setBasis(basis)
+            scaled = False
+            continue
+        reduced = -(atom_cols.T @ np.asarray(solution.row_dual))
+        reduced[model_atoms] = 0.0  # HiGHS prices the model's own atoms
+        enter = np.flatnonzero(reduced < -LP_FEASIBILITY_TOL)
+        if enter.size == 0:
+            break
+        block = atom_cols[:, enter]
+        highs.addCols(enter.size, np.zeros(enter.size), np.zeros(enter.size),
+                      np.full(enter.size, kHighsInf), block.nnz,
+                      block.indptr[:-1], block.indices, block.data)
+        model_atoms = np.concatenate([model_atoms, enter])
     total = float(w.sum())
+    message = highs.modelStatusToString(status)
     if not total > 0:
         raise ProjectionError(
-            f"HiGHS returned no solution with positive atom mass (status "
-            f"{res.status}: {res.message})"
+            f"HiGHS returned no solution with positive atom mass (model "
+            f"status: {message})"
         )
-    if res.status != 0:
-        warnings.warn(f"HiGHS stopped short of optimal (status "
-                      f"{res.status}: {res.message})", ProjectionWarning,
-                      stacklevel=2)
+    if status != HighsModelStatus.kOptimal:
+        warnings.warn(f"HiGHS stopped short of optimal (model status: "
+                      f"{message})", ProjectionWarning, stacklevel=2)
     if abs(total - 1.0) > SIMPLEX_ROW_TOL:
         warnings.warn(f"HiGHS atom weights sum to {total!r}, off the "
                       f"simplex row by {total - 1.0:.3g}; renormalized",
                       ProjectionWarning, stacklevel=2)
     w = w / total
     objective = float(quad_weights @ np.abs(design @ w - target))
-    return w, objective, res.status == 0, int(res.nit)
+    return LpSolution(w, objective, status == HighsModelStatus.kOptimal,
+                      iterations, rounds)
+
+
+def _equality_form_model(atom_cols, target, quad_weights) -> _Highs:
+    """A HiGHS instance holding the equality-form LP over the atom columns
+    given.  Its options are those scipy's ``linprog(method="highs")`` sets,
+    except that the simplex solver is fixed, since later rounds restart
+    from its basis."""
+    n_grid = target.size
+    eye = identity(n_grid, format="csc")
+    a_model = hstack([atom_cols, vstack([hstack([-eye, eye]),
+                                         csc_matrix((1, 2 * n_grid))])],
+                     format="csc")
+    n_cols = a_model.shape[1]
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_grid + 1
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a_model.indptr
+    lp.a_matrix_.index_ = a_model.indices
+    lp.a_matrix_.value_ = a_model.data
+    lp.col_cost_ = np.concatenate([np.zeros(atom_cols.shape[1]),
+                                   quad_weights, quad_weights])
+    lp.col_lower_ = np.zeros(n_cols)
+    lp.col_upper_ = np.full(n_cols, kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = np.append(target, 1.0)
+    highs = _Highs()
+    for option, value in (("output_flag", False), ("presolve", "on"),
+                          ("solver", "simplex"),
+                          ("primal_feasibility_tolerance", LP_FEASIBILITY_TOL),
+                          ("dual_feasibility_tolerance", LP_FEASIBILITY_TOL)):
+        highs.setOptionValue(option, value)
+    highs.passModel(lp)
+    return highs

@@ -69,8 +69,10 @@ class ProjectionConfig:
     [-M, M] strictly contains the density's support; for the box-kernel
     estimates that is the data hull widened by the bandwidth.
     ``L`` may not exceed ``MAX_ATOMS`` (2**16); the default reaches it
-    only above n of about 4.3e9.  ``max_iters`` caps the HiGHS iterations;
-    the feasibility tolerance is fixed at ``measures.LP_FEASIBILITY_TOL``.
+    only above n of about 4.3e9.  ``max_iters`` caps the HiGHS simplex
+    iterations summed over every round of the LP's column generation (see
+    ``measures.weighted_l1_lp``); the feasibility tolerance is fixed at
+    ``measures.LP_FEASIBILITY_TOL``.
     """
 
     L: int | None = None
@@ -126,13 +128,14 @@ class DenoiseConfig:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Projected mixing measure plus solve metadata: the HiGHS status and
-    iteration count."""
+    """Projected mixing measure plus solve metadata: the HiGHS status, the
+    iterations summed over all runs, and the number of runs."""
 
     measure: DiscreteMeasure
     objective: float
     converged: bool
     iterations: int
+    rounds: int
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +169,9 @@ class MixtureFit:
         total = sum(self.lambdas_hat)
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # NaN fails it
             raise ValueError(f"weights sum to {total:.12g}, expected 1")
+        if not all(lam >= 0 for lam in self.lambdas_hat):
+            raise ValueError(f"weights must be nonnegative, got "
+                             f"{list(self.lambdas_hat)}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -210,7 +216,7 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
     ``||sum_l w_l phi_sigma(. - a_l) - p_hat||_1`` is a linear program.
     A solve that ends with a solution short of optimality is flagged as not
     converged and warns with ``ProjectionWarning``; one that ends without
-    any solution (scipy gives none when HiGHS stops on ``max_iters``), or
+    any solution (none is read when HiGHS stops on ``max_iters``), or
     with atom weights of zero total, raises ``ProjectionError``.
     """
     require_positive_finite(sigma, "sigma")
@@ -227,13 +233,13 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
         design[:, j] = gaussian_blur_values(
             np.array([a]), np.array([1.0]), sigma, pts
         )
-    w, objective, optimal, iterations = weighted_l1_lp(
-        design, p_hat.values, p_hat.trapezoid_weights(),
-        maxiter=cfg.max_iters,
-    )
+    lp = weighted_l1_lp(design, p_hat.values, p_hat.trapezoid_weights(),
+                        maxiter=cfg.max_iters)
+    w, objective, optimal, iterations = lp
     keep = w > ATOM_PRUNE_TOL
     measure = DiscreteMeasure(atoms[keep], w[keep] / w[keep].sum())
-    return ProjectionResult(measure, objective, optimal, iterations)
+    return ProjectionResult(measure, objective, optimal, iterations,
+                            lp.rounds)
 
 
 def smooth(g: DiscreteMeasure, delta: float, eval_grid: GridSpec
@@ -410,6 +416,7 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
         "objective": proj.objective,
         "converged": proj.converged,
         "lp_iterations": proj.iterations,
+        "lp_rounds": proj.rounds,
         "delta": delta,
         "t_initial": t0,
         "t": t,

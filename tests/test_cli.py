@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 
 import demix.cli as cli
 import demix.errors
@@ -834,10 +833,17 @@ def test_fit_without_lp_solution_records_projection_error(tmp_path,
 
 def test_fit_with_massless_lp_weights_records_projection_error(
         tmp_path, monkeypatch):
-    # HiGHS status 4 (numerical difficulties) with an all-zero iterate.
-    monkeypatch.setattr(demix.measures, "linprog", lambda c, **kwargs:
-                        OptimizeResult(x=np.zeros(len(c)), status=4, nit=0,
-                                       message="Numerical difficulties."))
+    # HiGHS stops on a solve error with an all-zero iterate.
+    class MasslessHighs(demix.measures._Highs):
+        def getModelStatus(self):
+            return demix.measures.HighsModelStatus.kSolveError
+
+        def getSolution(self):
+            solution = super().getSolution()
+            solution.col_value = np.zeros(len(solution.col_value))
+            return solution
+
+    monkeypatch.setattr(demix.measures, "_Highs", MasslessHighs)
     out = str(tmp_path / "out")
     spec = write_spec(tmp_path / "exp.json", box_mixture_obj(), [800], [0],
                       out=out)
@@ -1075,6 +1081,27 @@ def test_eval_fit_file_with_nan_weight_exits_2_naming_it(tmp_path, capsys):
     assert main(["eval", "--spec", spec]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: fit file {path}:") and "nan" in err, err
+    assert not os.path.exists(os.path.join(out, "eval_report.json"))
+
+
+def test_eval_fit_file_with_negative_weight_exits_2_naming_it(tmp_path,
+                                                             capsys):
+    # The weights still sum to 1, so only a sign check refuses them.
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    model_obj = crossing_lines_obj()
+    spec = write_spec(tmp_path / "exp.json", model_obj, [100], [0],
+                      out=out)
+    record = _perfect_fit_record(MixedRegressionModel.from_json_obj(
+        model_obj), 100, 0)
+    record["fit"]["mixture"]["lambdas_hat"] = [-0.5, 1.5]
+    path = os.path.join(out, "fit_regression_n100_seed0.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+    assert main(["eval", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fit file {path}:"), err
+    assert "nonnegative" in err, err
     assert not os.path.exists(os.path.join(out, "eval_report.json"))
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -382,3 +385,20 @@ def test_wasserstein_is_a_symmetric_metric(a, b, c):
     assert wasserstein1(a, c) <= ab + wasserstein1(b, c) + 1e-12
     # The transport LP is solved to HiGHS's default tolerance, 1e-7.
     assert ab == pytest.approx(wasserstein1_lp_oracle(a, b), abs=1e-7)
+
+
+def test_import_without_the_highs_binding_names_the_scipy_floor():
+    # A scipy older than 1.15 has no scipy.optimize._highspy._core; the
+    # projection LP drives that binding and has no other path.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "try:\n"
+            "    import demix\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert "scipy>=1.15" in out

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import OptimizeResult
 
 import demix.measures
 from demix.errors import (
@@ -178,23 +177,23 @@ def test_project_validation():
 def test_projection_lp_is_equality_form(monkeypatch):
     # One equality row per grid point, design_i @ w - u_i + v_i = p_i,
     # plus the simplex row, with only the design entries HiGHS keeps.
-    real_linprog = demix.measures.linprog
-    calls = []
+    models = []
 
-    def recording_linprog(*args, **kwargs):
-        calls.append(kwargs)
-        return real_linprog(*args, **kwargs)
+    class RecordingHighs(demix.measures._Highs):
+        def passModel(self, lp):
+            models.append(lp)
+            return super().passModel(lp)
 
-    monkeypatch.setattr(demix.measures, "linprog", recording_linprog)
+    monkeypatch.setattr(demix.measures, "_Highs", RecordingHighs)
     grid = GridSpec(-6.0, 6.0, 512)
     p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
     n_atoms = 41
     project_to_gaussian_mixture(p_hat, 0.25, ProjectionConfig(L=n_atoms,
                                                               M=4.0))
-    (kwargs,) = calls
-    assert kwargs.get("A_ub") is None and kwargs.get("b_ub") is None
-    a_eq = kwargs["A_eq"]
-    assert a_eq.shape == (grid.n_points + 1, n_atoms + 2 * grid.n_points)
+    (lp,) = models
+    assert lp.num_row_ == grid.n_points + 1
+    assert lp.num_col_ == n_atoms + 2 * grid.n_points
+    assert np.array_equal(lp.row_lower_, lp.row_upper_)
     design = np.column_stack([
         gaussian_blur_values(np.array([a]), np.array([1.0]), 0.25,
                              grid.points())
@@ -202,7 +201,7 @@ def test_projection_lp_is_equality_form(monkeypatch):
     kept = np.count_nonzero(
         np.abs(design) > demix.measures.HIGHS_SMALL_MATRIX_VALUE)
     assert kept < design.size
-    assert a_eq.nnz == kept + 2 * grid.n_points + n_atoms
+    assert len(lp.a_matrix_.value_) == kept + 2 * grid.n_points + n_atoms
 
 
 def test_projection_reports_lp_iterations():
@@ -217,8 +216,22 @@ def test_projection_reports_lp_iterations():
     assert back.diagnostics["lp_iterations"] == iterations
 
 
+def test_projection_reports_lp_rounds():
+    # L = 142 atoms is past the first round's 128, so atoms enter by
+    # pricing in later rounds.
+    samples = sample_vanilla_mixture(two_bump_model(), 20_000, seed=1)
+    fit = fit_vanilla_mixture(samples, 2, 0.25)
+    rounds = fit.diagnostics["lp_rounds"]
+    assert fit.diagnostics["L"] > demix.measures.LP_FIRST_ROUND_ATOMS
+    assert type(rounds) is int and rounds >= 2
+    back = MixtureFit.from_json_obj(json.loads(json.dumps(fit.to_json_obj())))
+    assert back.diagnostics["lp_rounds"] == rounds
+    small = fit_vanilla_mixture(samples[:4000], 2, 0.25)
+    assert small.diagnostics["lp_rounds"] == 1
+
+
 def test_project_without_lp_solution_raises():
-    # scipy returns no iterate when HiGHS stops on its iteration cap.
+    # No iterate is read when HiGHS stops on its iteration cap.
     grid = GridSpec(-6.0, 6.0, 2048)
     p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
     cfg = ProjectionConfig(L=161, M=4.0, max_iters=1)
@@ -234,29 +247,36 @@ def test_fit_without_lp_solution_raises_projection_error():
 
 
 def test_project_short_of_optimal_warns(monkeypatch):
-    # HiGHS can stop with a feasible iterate (status 1: iteration limit).
-    real_linprog = demix.measures.linprog
+    # HiGHS can stop with a feasible iterate it does not certify optimal
+    # (model status Unknown).
+    class ShortHighs(demix.measures._Highs):
+        def getModelStatus(self):
+            return demix.measures.HighsModelStatus.kUnknown
 
-    def short_linprog(*args, **kwargs):
-        res = real_linprog(*args, **kwargs)
-        res.status, res.message = 1, "Iteration limit reached."
-        return res
-
-    monkeypatch.setattr(demix.measures, "linprog", short_linprog)
+    monkeypatch.setattr(demix.measures, "_Highs", ShortHighs)
     grid = GridSpec(-6.0, 6.0, 512)
     p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
-    with pytest.warns(ProjectionWarning, match="status 1"):
+    with pytest.warns(ProjectionWarning, match="short of optimal"):
         res = project_to_gaussian_mixture(p_hat, 0.25,
                                           ProjectionConfig(L=41, M=4.0))
     assert not res.converged
     assert res.measure.weights.sum() == pytest.approx(1.0)
 
 
+class MasslessHighs(demix.measures._Highs):
+    """HiGHS stopping on a solve error with an all-zero iterate."""
+
+    def getModelStatus(self):
+        return demix.measures.HighsModelStatus.kSolveError
+
+    def getSolution(self):
+        solution = super().getSolution()
+        solution.col_value = np.zeros(len(solution.col_value))
+        return solution
+
+
 def test_project_with_massless_lp_weights_raises(monkeypatch):
-    # HiGHS status 4 (numerical difficulties) with an all-zero iterate.
-    monkeypatch.setattr(demix.measures, "linprog", lambda c, **kwargs:
-                        OptimizeResult(x=np.zeros(len(c)), status=4, nit=0,
-                                       message="Numerical difficulties."))
+    monkeypatch.setattr(demix.measures, "_Highs", MasslessHighs)
     grid = GridSpec(-6.0, 6.0, 512)
     p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
     with pytest.raises(ProjectionError, match="positive atom mass"):

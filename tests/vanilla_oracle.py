@@ -2,11 +2,13 @@
 
 Kept out of the library as oracles for the optimized paths.  The LP here
 hands HiGHS the whole dense design, every entry included, in the
-equality form the library solves; the inequality form the library solved
-before is kept beside it.  The KDE sorts its samples with a stable
-argsort and two gathers.  The library leaves out only matrix entries
-HiGHS ignores and sorts equal-weight samples with ``np.sort``, so results
-must agree bit for bit with ``weighted_l1_lp`` and the KDE here.
+equality form the library solves, in one ``linprog`` call over every
+atom; the inequality form the library solved before is kept beside it.
+The KDE sorts its samples with a stable argsort and two gathers.  The
+library leaves out only matrix entries HiGHS ignores and sorts
+equal-weight samples with ``np.sort``, so results must agree bit for bit
+with the KDE here, and with ``weighted_l1_lp`` wherever it solves in one
+HiGHS run.
 """
 
 import numpy as np
