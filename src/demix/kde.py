@@ -11,15 +11,15 @@ instead of O(n * grid).
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EmptyWindowError
 from .measures import (GridDensity, GridSpec, _sorted_box_mixture_density,
                        require_positive_finite)
-from .synth import Dataset, _from_kind
+from .synth import Dataset, _KindBlock
 
 
 class BoundaryWarning(UserWarning):
@@ -30,67 +30,40 @@ class BoundaryWarning(UserWarning):
 # bandwidth rules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BandwidthSchedule:
+class BandwidthSchedule(_KindBlock):
     """Bandwidth as a function of the sample size.
 
     ``power_law`` uses h(n) = c * n**exponent with exponent in (-1/2, 0),
     the range where h(n) shrinks while n * h(n)**2 still grows.  ``fixed``
     ignores n.  The default c=1, exponent=-1/4 satisfies both conditions
-    with room to spare.  A field of the other rule must keep its default.
+    with room to spare.
     """
 
-    kind: str = "power_law"
-    c: float = 1.0
-    exponent: float = -0.25
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.kind == "power_law":
-            require_positive_finite(self.c, "power_law bandwidth c")
-            if not -0.5 < self.exponent < 0.0:
-                raise ValueError(
-                    "power_law exponent must lie in (-0.5, 0): "
-                    "h must shrink while n*h^2 grows"
-                )
-            unused = ("value",)
-        elif self.kind == "fixed":
-            require_positive_finite(self.value, "fixed bandwidth value")
-            unused = ("c", "exponent")
-        else:
-            raise ValueError(f"unknown bandwidth rule {self.kind!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in unused and value != f.default:
-                raise ValueError(f"a {self.kind} bandwidth takes no {f.name}, "
-                                 f"got {f.name}={value!r}")
+    KINDS = ("fixed", "power_law")
 
     @classmethod
     def fixed(cls, value: float) -> "BandwidthSchedule":
-        return cls(kind="fixed", value=value)
+        require_positive_finite(value, "fixed bandwidth value")
+        return cls._build("fixed", {"value": value})
 
     @classmethod
     def power_law(cls, c: float = 1.0, exponent: float = -0.25
                   ) -> "BandwidthSchedule":
-        return cls(kind="power_law", c=c, exponent=exponent)
+        require_positive_finite(c, "power_law bandwidth c")
+        if not (isinstance(exponent, numbers.Real)
+                and -0.5 < exponent < 0.0):
+            raise ValueError(
+                f"power_law exponent must lie in (-0.5, 0): "
+                f"h must shrink while n*h^2 grows, got {exponent!r}"
+            )
+        return cls._build("power_law", {"c": c, "exponent": exponent})
 
     def bandwidth(self, n: int) -> float:
         if n < 1:
             raise ValueError("n must be at least 1")
         if self.kind == "fixed":
-            return self.value
-        return self.c * float(n) ** self.exponent
-
-    def to_json_obj(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": "fixed", "value": self.value}
-        return {"kind": "power_law", "c": self.c, "exponent": self.exponent}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "BandwidthSchedule":
-        """Inverse of ``to_json_obj``: ``kind`` is required and names the
-        constructor that takes the other keys."""
-        return _from_kind(cls, ("fixed", "power_law"), obj, "bandwidth rule")
+            return self.args["value"]
+        return self.args["c"] * float(n) ** self.args["exponent"]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +83,7 @@ class ConditionalKde:
                  schedule: BandwidthSchedule | None = None,
                  a: float | None = None, b: float | None = None):
         self.dataset = dataset
-        self.schedule = schedule if schedule is not None else BandwidthSchedule()
+        self.schedule = schedule or BandwidthSchedule.power_law()
         self.n = len(dataset)
         self.h = self.schedule.bandwidth(self.n)
         self.a = float(dataset.x.min()) if a is None else float(a)

@@ -66,8 +66,11 @@ def _as_finite_1d(values, name: str) -> np.ndarray:
 
 
 def require_positive_finite(value, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless 0 < value < inf."""
-    if not 0 < value < math.inf:  # NaN fails every comparison
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real
+    number (a numpy number counts, a bool or text does not) with
+    0 < value < inf."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf):  # NaN fails every comparison
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

@@ -172,6 +172,9 @@ class MixtureFit:
         if not all(lam >= 0 for lam in self.lambdas_hat):
             raise ValueError(f"weights must be nonnegative, got "
                              f"{list(self.lambdas_hat)}")
+        if not np.isfinite(np.asarray(self.mus_hat, dtype=float)).all():
+            raise ValueError(f"mus_hat must be finite, got "
+                             f"{list(self.mus_hat)}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -267,6 +270,7 @@ def threshold_partition(g_smooth: GridDensity, t: float,
     between consecutive intervals (leftmost first on exact ties).
     """
     require_positive_finite(t, "threshold")
+    k = require_int(k, "k")
     if k < 1:
         raise ValueError("K must be at least 1")
     above = g_smooth.values > t
@@ -371,6 +375,7 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
     ``n_hint`` stands in for the sample size behind ``p_hat`` when the
     atom count L is left to its default ceil(sqrt(n)).
     """
+    k = require_int(k, "k")
     if k < 1:
         raise ValueError("K must be at least 1")
     require_positive_finite(sigma, "sigma")
@@ -447,6 +452,7 @@ def fit_vanilla_mixture(samples, k: int, sigma: float,
     if samples.ndim != 1:
         raise ValueError("samples must be a vector")
     n = samples.size
+    k = require_int(k, "k")
     if k < 1:
         raise ValueError("K must be at least 1")
     if n < 10 * k:
@@ -454,7 +460,7 @@ def fit_vanilla_mixture(samples, k: int, sigma: float,
             f"need at least 10 K = {10 * k} samples, got {n}"
         )
     require_positive_finite(sigma, "sigma")
-    bandwidth = bandwidth or BandwidthSchedule()
+    bandwidth = bandwidth or BandwidthSchedule.power_law()
     h = bandwidth.bandwidth(n)
 
     y_grid = response_grid(float(samples.min()), float(samples.max()),

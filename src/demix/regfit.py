@@ -174,6 +174,11 @@ class RegressionFit:
             raise ValueError("per_x_objective must match x_grid")
         if self.interpolated and len(self.interpolated) != n:
             raise ValueError("interpolated mask must match x_grid")
+        xs = np.asarray(self.x_grid, dtype=float)
+        if not (np.isfinite(xs).all() and (np.diff(xs) > 0).all()):
+            raise ValueError("x_grid must be finite and strictly increasing")
+        if not np.isfinite(np.asarray(self.m_hat, dtype=float)).all():
+            raise ValueError("m_hat must be finite")
 
     @property
     def k(self) -> int:
@@ -485,6 +490,7 @@ def find_separation_point(data: Dataset, k: int, window: float,
     and the full (x, score) profile; windows with fewer than 5 K points
     score minus infinity.
     """
+    k = require_int(k, "k")
     if k < 1:
         raise ValueError("K must be at least 1")
     require_positive_finite(window, "window")
@@ -585,6 +591,7 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     from their neighbors and flagged.
     """
     n = len(data)
+    k = require_int(k, "k")
     if k < 1:
         raise ValueError("K must be at least 1")
     n_x_grid = require_int(n_x_grid, "n_x_grid")
@@ -597,7 +604,7 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     require_positive_finite(sigma, "sigma")
     if x0 is not None and not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0!r}")
-    bandwidth = bandwidth or BandwidthSchedule()
+    bandwidth = bandwidth or BandwidthSchedule.power_law()
     kde = ConditionalKde(data, bandwidth, a=a, b=b)
     h = kde.h
 

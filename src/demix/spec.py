@@ -4,9 +4,9 @@ Every block rejects keys it does not know and values of the wrong type,
 naming the key, so a malformed spec fails before any work starts.  A
 block's keys are the arguments of what it builds: the fields of a settings
 class, the fields of the model, or the arguments of the constructor that
-a ``kind`` names.  In the model block text is valid only as a ``kind`` or
-``type`` tag, and every other value is a number or a list or object of
-them.
+a ``kind`` names.  In the model and ``bandwidth`` blocks text is valid
+only as a ``kind`` or ``type`` tag, and every other value is a number or
+a list or object of them.
 """
 
 from __future__ import annotations
@@ -92,27 +92,22 @@ def _setting(value, annotation: str, name: str):
     return int(value) if kind == "int" and value is not None else value
 
 
-def _parse_config(cls, obj, name: str) -> dict:
-    """Keyword arguments for the settings dataclass ``cls`` from the spec
-    block ``name``, whose keys must be fields of ``cls`` and whose values
-    must match the fields' types."""
+def _build_config(cls, obj, name: str):
+    """The settings dataclass ``cls`` built from the spec block ``name``,
+    whose keys must be fields of ``cls`` and whose values must match the
+    fields' types.
+
+    The settings classes start each ``ValueError`` with the field at
+    fault, so the message names it as ``name.field``.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"{name} must be a JSON object")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = set(obj) - set(types)
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
-    return {key: _setting(value, types[key], f"{name}.{key}")
-            for key, value in obj.items()}
-
-
-def _build_config(cls, obj, name: str):
-    """The settings dataclass ``cls`` built from the spec block ``name``.
-
-    The settings classes start each ``ValueError`` with the field at
-    fault, so the message names it as ``name.field``.
-    """
-    kwargs = _parse_config(cls, obj, name)
+    kwargs = {key: _setting(value, types[key], f"{name}.{key}")
+              for key, value in obj.items()}
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -195,9 +190,11 @@ class ExperimentSpec:
             except ValueError as exc:
                 raise ValueError(f"mde.{exc}") from None
         if "bandwidth" in configs:
-            settings["bandwidth"] = BandwidthSchedule.from_json_obj(
-                _parse_config(BandwidthSchedule, configs["bandwidth"],
-                              "bandwidth"))
+            block = configs["bandwidth"]
+            if not isinstance(block, dict):
+                raise ValueError("bandwidth must be a JSON object")
+            _check_model_values(block, "bandwidth")
+            settings["bandwidth"] = BandwidthSchedule.from_json_obj(block)
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         for key in ("x0", "n_x_grid", "window"):
             if key in configs:

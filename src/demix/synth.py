@@ -32,6 +32,7 @@ from .measures import (
     GridDensity,
     GridSpec,
     gaussian_blur_values,
+    require_int,
     require_positive_finite,
 )
 
@@ -43,7 +44,10 @@ class SeparationWarning(UserWarning):
 
 
 def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(int(seed)))
+    seed = require_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _normalized_weights(lambdas) -> tuple[float, ...]:
@@ -59,18 +63,8 @@ def _normalized_weights(lambdas) -> tuple[float, ...]:
     return tuple(arr / total)
 
 
-def _from_kind(cls, kinds: tuple, obj: dict, noun: str):
-    """``cls`` built by its constructor named ``obj["kind"]``, one of
-    ``kinds``, from the other keys of ``obj`` as keyword arguments."""
-    obj = dict(obj)
-    kind = obj.pop("kind")
-    if kind not in kinds:
-        raise ValueError(f"unknown {noun} {kind!r}")
-    return getattr(cls, kind)(**obj)
-
-
 class _KindBlock:
-    """A model block built by the classmethod its ``kind`` names.
+    """A spec block built by the classmethod its ``kind`` names.
 
     ``args`` holds that classmethod's keyword arguments as it checked
     them, so the JSON ``{"kind": kind, **args}`` reads back through the
@@ -98,7 +92,13 @@ class _KindBlock:
 
     @classmethod
     def from_json_obj(cls, obj: dict):
-        return _from_kind(cls, cls.KINDS, obj, f"{cls.__name__} kind")
+        """The block built by the classmethod named ``obj["kind"]``, one of
+        ``KINDS``, from the other keys of ``obj`` as keyword arguments."""
+        obj = dict(obj)
+        kind = obj.pop("kind")
+        if kind not in cls.KINDS:
+            raise ValueError(f"unknown {cls.__name__} kind {kind!r}")
+        return getattr(cls, kind)(**obj)
 
     def __repr__(self):
         args = ", ".join(f"{key}={value!r}"
@@ -562,6 +562,7 @@ def _blurred_mixture(grid: GridSpec, sigma: float, parts) -> GridDensity:
 def sample_mixed_regression(model: MixedRegressionModel, n: int,
                             seed: int) -> Dataset:
     """Draw ``n`` pairs from the model, deterministically in ``seed``."""
+    n = require_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng_for(seed)
@@ -577,6 +578,7 @@ def sample_mixed_regression(model: MixedRegressionModel, n: int,
 def sample_vanilla_mixture(model: VanillaMixtureModel, n: int,
                            seed: int) -> np.ndarray:
     """Draw ``n`` responses from the mixture, deterministically in ``seed``."""
+    n = require_int(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = _rng_for(seed)

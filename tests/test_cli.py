@@ -340,8 +340,6 @@ def test_mixture_spec_rejects_regression_settings(tmp_path, capsys, key,
 SETTINGS_BLOCKS = {"bandwidth": BandwidthSchedule,
                    "projection": ProjectionConfig,
                    "denoise": DenoiseConfig, "mde": MdeConfig}
-# Valid text for the settings that take text, besides their defaults.
-SETTING_TEXT = {"kind": ["fixed"]}
 # Wrongly typed, fractional, boolean, NaN, infinite and negative values,
 # and small whole numbers, one written as a float, that a fit may reject.
 BAD_SETTING = st.sampled_from([True, False, None, "1", [1], 0.5, 2.5, 10.5,
@@ -349,19 +347,30 @@ BAD_SETTING = st.sampled_from([True, False, None, "1", [1], 0.5, 2.5, 10.5,
                                -math.inf, 1, 3.0])
 
 
+def setting_values(name):
+    """Each key of settings block ``name`` with its valid values: a
+    settings dataclass's fields with their defaults, or ``kind`` with the
+    kinds of a kind block and the arguments of their classmethods with
+    their defaults."""
+    cls = SETTINGS_BLOCKS[name]
+    if dataclasses.is_dataclass(cls):
+        return {f.name: [f.default] for f in dataclasses.fields(cls)}
+    values = {"kind": list(cls.KINDS)}
+    for kind in cls.KINDS:
+        for arg in inspect.signature(getattr(cls, kind)).parameters.values():
+            values[arg.name] = [] if arg.default is arg.empty else [
+                arg.default]
+    return values
+
+
 def settings_block(name):
-    """``{name: block}`` for the settings dataclass of block ``name``: one
-    or two keys drawn from its fields plus an unknown one, each holding a
-    value from ``BAD_SETTING``, or the field's default or another valid
-    text."""
-    fields = {f.name: f.default
-              for f in dataclasses.fields(SETTINGS_BLOCKS[name])}
+    """``{name: block}`` for the settings block ``name``: one or two keys
+    drawn from its keys plus an unknown one, each holding a value from
+    ``BAD_SETTING`` or one of the key's valid values."""
+    fields = setting_values(name)
 
     def value(key):
-        if key not in fields:
-            return BAD_SETTING
-        valid = [fields[key], *SETTING_TEXT.get(key, [])]
-        return st.one_of(BAD_SETTING, st.sampled_from(valid))
+        return st.one_of(BAD_SETTING, *map(st.just, fields.get(key, [])))
 
     keys = st.lists(st.sampled_from([*fields, "unknown"]), unique=True,
                     min_size=1, max_size=2)
@@ -376,8 +385,7 @@ def test_generated_settings_exit_cleanly(blocks):
     (a missing ``kind`` included), or exits 3 with each seed's
     PipelineError recorded; none raises out of main()."""
     named = [*blocks, "unknown",
-             *(f.name for name in blocks
-               for f in dataclasses.fields(SETTINGS_BLOCKS[name]))]
+             *(key for name in blocks for key in setting_values(name))]
     with tempfile.TemporaryDirectory() as root:
         out = os.path.join(root, "out")
         spec = write_spec(os.path.join(root, "exp.json"),
@@ -481,11 +489,18 @@ def test_model_blocks_round_trip_and_reject_unknown_keys(model, data):
     assert err.getvalue().startswith("error:") and f"'{key}'" in err.getvalue()
 
 
+BANDWIDTHS = st.one_of(
+    st.builds(BandwidthSchedule.fixed, finite(0.01, 2)),
+    st.builds(BandwidthSchedule.power_law, finite(0.01, 2),
+              finite(-0.49, -0.01)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(CURVES, MIXINGS, COVARIATES))
+@given(st.one_of(CURVES, MIXINGS, COVARIATES, BANDWIDTHS))
 def test_model_block_keys_are_its_constructor_arguments(block):
-    """A curve's, mixing distribution's or covariate's JSON keys, besides
-    ``kind``, are the parameters of the classmethod its kind names."""
+    """A curve's, mixing distribution's, covariate's or bandwidth rule's
+    JSON keys, besides ``kind``, are the parameters of the classmethod its
+    kind names."""
     obj = block.to_json_obj()
     constructor = getattr(type(block), obj.pop("kind"))
     assert list(obj) == list(inspect.signature(constructor).parameters)
@@ -494,8 +509,11 @@ def test_model_block_keys_are_its_constructor_arguments(block):
 @pytest.mark.parametrize("cls, args, named", [
     (RegressionCurve, ("polynomial", ()), "RegressionCurve.polynomial"),
     (MixingSpec, ("point_mass", {}), "MixingSpec.point_mass"),
-    (CovariateSpec, (), "CovariateSpec.uniform")],
-    ids=["RegressionCurve", "MixingSpec", "CovariateSpec"])
+    (CovariateSpec, (), "CovariateSpec.uniform"),
+    (BandwidthSchedule, ("power_law",),
+     "BandwidthSchedule.fixed, BandwidthSchedule.power_law")],
+    ids=["RegressionCurve", "MixingSpec", "CovariateSpec",
+         "BandwidthSchedule"])
 def test_model_block_classes_are_built_by_their_classmethods(cls, args,
                                                              named):
     with pytest.raises(TypeError, match=named):
@@ -1037,6 +1055,11 @@ def test_eval_missing_fit_is_validation_error(tmp_path, capsys):
     assert "seed=4" in capsys.readouterr().err
 
 
+def _fit_with(record, **fields):
+    """``record`` with ``fields`` replacing those of its fit."""
+    return {**record, "fit": {**record["fit"], **fields}}
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (lambda record: {**record, "fit": {key: value for key, value
                                        in record["fit"].items()
@@ -1044,9 +1067,20 @@ def test_eval_missing_fit_is_validation_error(tmp_path, capsys):
     (lambda record: {key: value for key, value in record.items()
                      if key != "status"}, "'status'"),
     (lambda record: {**record, "status": "done"}, "status"),
-    (lambda record: json.dumps(record)[:-1], "invalid JSON")],
+    (lambda record: json.dumps(record)[:-1], "invalid JSON"),
+    (lambda record: _fit_with(record, m_hat=[
+        [math.nan, *curve[1:]] for curve in record["fit"]["m_hat"]]),
+     "m_hat"),
+    (lambda record: _fit_with(record, x_grid=[
+        math.nan, *record["fit"]["x_grid"][1:]]), "x_grid"),
+    (lambda record: _fit_with(record, x_grid=record["fit"]["x_grid"][::-1]),
+     "x_grid"),
+    (lambda record: _fit_with(record, mixture={
+        **record["fit"]["mixture"], "mus_hat": [math.nan, 1.0]}),
+     "mus_hat")],
     ids=["fit_without_x_grid", "record_without_status",
-         "record_status_unknown", "invalid_json"])
+         "record_status_unknown", "invalid_json", "m_hat_nan", "x_grid_nan",
+         "x_grid_reversed", "mus_hat_nan"])
 def test_eval_malformed_fit_file_exits_2_naming_it(tmp_path, capsys,
                                                    corrupt, named):
     out = str(tmp_path / "out")
@@ -1102,6 +1136,24 @@ def test_eval_fit_file_with_negative_weight_exits_2_naming_it(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: fit file {path}:"), err
     assert "nonnegative" in err, err
+    assert not os.path.exists(os.path.join(out, "eval_report.json"))
+
+
+def test_eval_mixture_fit_file_with_nan_centre_exits_2_naming_it(tmp_path,
+                                                                  capsys):
+    out = str(tmp_path / "out")
+    spec = write_spec(tmp_path / "exp.json", box_mixture_obj(), [800], [0],
+                      out=out)
+    assert main(["simulate", "--spec", spec]) == 0
+    assert main(["fit-mixture", "--spec", spec]) == 0
+    path = os.path.join(out, "fit_mixture_n800_seed0.json")
+    record = read_json(path)
+    record["fit"]["mus_hat"][0] = math.nan
+    with open(path, "w") as fh:
+        json.dump(record, fh)
+    assert main(["eval", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fit file {path}:") and "mus_hat" in err, err
     assert not os.path.exists(os.path.join(out, "eval_report.json"))
 
 

@@ -48,7 +48,7 @@ def flat_model() -> MixedRegressionModel:
 # ---------------------------------------------------------------------------
 
 def test_default_schedule():
-    sched = BandwidthSchedule()
+    sched = BandwidthSchedule.power_law()
     assert sched.bandwidth(10_000) == pytest.approx(0.1)
     assert sched.bandwidth(16) == pytest.approx(0.5)
     # h(n) -> 0 while n h(n)^2 -> infinity along the default rule.
@@ -69,24 +69,27 @@ def test_schedule_validation():
         BandwidthSchedule.fixed(0.0)
     assert BandwidthSchedule.fixed(0.3).bandwidth(5) == 0.3
     with pytest.raises(ValueError):
-        BandwidthSchedule().bandwidth(0)
+        BandwidthSchedule.power_law().bandwidth(0)
 
 
-@pytest.mark.parametrize("fields, named", [
-    ({"kind": "fixed", "value": 0.1, "c": 5.0}, "c"),
-    ({"kind": "fixed", "value": 0.1, "exponent": -0.4}, "exponent"),
-    ({"kind": "power_law", "value": 0.1}, "value")],
+@pytest.mark.parametrize("rule, args, named", [
+    ("fixed", {"value": 0.1, "c": 5.0}, "c"),
+    ("fixed", {"value": 0.1, "exponent": -0.4}, "exponent"),
+    ("power_law", {"value": 0.1}, "value")],
     ids=["fixed_c", "fixed_exponent", "power_law_value"])
-def test_schedule_rejects_the_other_rules_fields(fields, named):
-    with pytest.raises(ValueError, match=f"bandwidth takes no {named},"):
-        BandwidthSchedule(**fields)
+def test_schedule_rejects_the_other_rules_fields(rule, args, named):
+    with pytest.raises(TypeError, match=f"keyword argument '{named}'"):
+        getattr(BandwidthSchedule, rule)(**args)
 
 
 def test_schedule_json_round_trip():
-    for sched in (BandwidthSchedule(), BandwidthSchedule.power_law(2.0, -0.3),
+    for sched in (BandwidthSchedule.power_law(),
+                  BandwidthSchedule.power_law(2.0, -0.3),
                   BandwidthSchedule.fixed(0.25)):
-        back = BandwidthSchedule.from_json_obj(sched.to_json_obj())
-        assert back == sched
+        obj = sched.to_json_obj()
+        back = BandwidthSchedule.from_json_obj(obj)
+        assert back.to_json_obj() == obj
+        assert back.bandwidth(1000) == sched.bandwidth(1000)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +265,12 @@ def test_conditional_integrates_to_one_on_covering_grid():
     assert est.normalized
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True,
+                                   "0.25"])
 def test_non_finite_bandwidth_constants_are_rejected(value):
     with pytest.raises(ValueError, match="bandwidth c "):
         BandwidthSchedule.power_law(c=value)
     with pytest.raises(ValueError, match="bandwidth value "):
         BandwidthSchedule.fixed(value)
+    with pytest.raises(ValueError, match="exponent must lie"):
+        BandwidthSchedule.power_law(exponent=value)

@@ -19,6 +19,7 @@ from demix.measures import (
     convolve_gaussian,
     density_mean,
     l1_distance,
+    require_positive_finite,
     wasserstein1,
 )
 from measures_oracle import IntervalSet, wasserstein1_lp_oracle
@@ -402,3 +403,15 @@ def test_import_without_the_highs_binding_names_the_scipy_floor():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert "scipy>=1.15" in out
+
+
+@pytest.mark.parametrize("value", [True, False, "0.25", None, [1.0]],
+                         ids=["true", "false", "text", "none", "list"])
+def test_positive_finite_rejects_what_is_not_a_real_number(value):
+    with pytest.raises(ValueError, match="^width must be positive"):
+        require_positive_finite(value, "width")
+
+
+@pytest.mark.parametrize("value", [0.5, 2, np.float32(0.5), np.int64(2)])
+def test_positive_finite_accepts_numpy_numbers(value):
+    require_positive_finite(value, "width")

@@ -722,7 +722,8 @@ def test_component_centres_are_cell_atom_means(drawn, sigma):
         assert abs(density_mean(f)) <= 1e-9
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True,
+                                   "0.25"])
 def test_non_finite_settings_are_rejected_by_name(value):
     with pytest.raises(ValueError, match="^M "):
         ProjectionConfig(M=value)
@@ -737,3 +738,13 @@ def test_non_finite_settings_are_rejected_by_name(value):
                                   GridSpec(-6.0, 6.0, 512))
     with pytest.raises(ValueError, match="^sigma "):
         fit_mixture_from_density(p_hat, 2, value, n_hint=400)
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2"], ids=["float", "bool", "text"])
+def test_component_count_must_be_an_integer(k):
+    samples = sample_vanilla_mixture(two_bump_model(), 400, seed=0)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        fit_vanilla_mixture(samples, k, 0.25)
+    g = GridDensity(-1.0, 1.0, np.ones(11), normalized=False)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        threshold_partition(g, 0.5, k)

@@ -106,6 +106,8 @@ def test_mde_config_validation():
     assert cfg.resolution() == pytest.approx(2 * 0.2 ** 3 / 60, rel=1e-12)
     with pytest.raises(ValueError):
         MdeConfig(B=0.0)
+    with pytest.raises(ValueError, match="^B must be positive"):
+        MdeConfig(B=True)
     with pytest.raises(ValueError):
         MdeConfig(B=1.0, coarse_grid=2)
     with pytest.raises(ValueError):
@@ -786,3 +788,13 @@ def test_mirrored_responses_mirror_the_curves(data):
     mirrored = invariance_fit(Dataset(data.x, -data.y))
     np.testing.assert_allclose(np.asarray(mirrored.m_hat),
                                -np.asarray(fit.m_hat), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, True], ids=["float", "fraction",
+                                                     "bool"])
+def test_component_count_must_be_an_integer(k):
+    data = sample_mixed_regression(crossing_lines_model(), 400, seed=0)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        fit_mixed_regression(data, k, 0.2)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        find_separation_point(data, k, window=0.1)

@@ -420,3 +420,15 @@ def test_dataset_rejects_non_finite_values(bad):
 def test_dataset_rejects_bad_shapes():
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, 2.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("n, seed, named", [
+    (10, 1.5, "seed"), (10, True, "seed"), (10, -1, "seed"),
+    (10, "1", "seed"), (2.5, 0, "n"), (True, 0, "n")],
+    ids=["seed_fraction", "seed_bool", "seed_negative", "seed_text",
+         "n_fraction", "n_bool"])
+def test_samplers_check_n_and_seed(n, seed, named):
+    for sample, model in ((sample_mixed_regression, crossing_lines_model()),
+                          (sample_vanilla_mixture, two_bump_mixture())):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            sample(model, n, seed)
