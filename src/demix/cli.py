@@ -120,8 +120,8 @@ def _atomic_write_json(path: str, obj) -> None:
 def _atomic_write_rows(path: str, header, rows) -> None:
     """CSV with repr-formatted floats; full-precision round trips."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += [",".join(map(repr, row))
+              for row in np.asarray(rows, dtype=float).tolist()]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -74,6 +74,14 @@ def require_positive_finite(value, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def require_finite(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
+    real number (a numpy number counts, a bool or text does not)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def require_int(value, name: str) -> int:
     """``value`` as an ``int``; raise ``ValueError`` naming ``name`` unless
     it is an integer (a numpy integer counts, a bool does not)."""

@@ -14,11 +14,14 @@ whole process, with one thread per CPU the process may use; concurrent
 fits submit into the same pool.  What the solves of one fit share (the
 padded grid, the density's level-0 shift bank and its Gram matrix) is
 built once in an ``MdeContext``, whose ``solve`` runs the coarse sweep and
-its refinement levels for one x.  The coarse sweep is screened: a
-candidate's squared L2 distance to the target, read off the Gram, over
-a bound on |mixture - target| is a lower bound on its L1 objective, so
-only the rows of the level-0 grid that this bound cannot rule out get an
-L1 sweep, and the result is the exhaustive sweep's, bit for bit.  Every
+its refinement levels for one x.  Every level is screened per
+candidate: only the candidates whose lower bound on the L1 objective
+cannot rule them out are evaluated, and the result is the exhaustive
+sweep's, bit for bit.  At level 0 the bound is a candidate's squared L2
+distance to the target, read off the Gram, over a bound on |mixture -
+target|.  A refinement level evaluates the incumbent's row and bounds
+the rest by L1 duality: for |phi| <= 1, the phi-weighted integral of
+mixture - target is at most the L1 objective, one table per axis.  Every
 estimate is bit-identical to a serial solve, whatever the thread count.
 """
 
@@ -35,9 +38,9 @@ import numpy as np
 
 from .errors import EmptyWindowError, InsufficientDataError
 from .kde import BandwidthSchedule, ConditionalKde
-from .measures import (GridDensity, GridSpec, l1_distance, require_int,
-                       require_positive_finite, trapezoid_weights,
-                       widest_gap_bounds)
+from .measures import (GridDensity, GridSpec, l1_distance, require_finite,
+                       require_int, require_positive_finite,
+                       trapezoid_weights, widest_gap_bounds)
 from .mixfit import (
     DenoiseConfig,
     MixtureFit,
@@ -81,11 +84,13 @@ class MdeConfig:
     The minimizer the previous level brackets lies within one of its
     spacings of the incumbent, five of this level's, inside the window
     of +-6.  Windows are clipped to [-B, B].  Every level returns the
-    lexicographically smallest minimizer of its full grid of candidates.
-    Refinement levels sweep that whole grid in L1.  Level 0 first tabulates
-    a lower bound on the L1 objective of all ``coarse_grid**K``
-    candidates from their L2 distances, and sweeps in L1 only the rows
-    whose bound does not rule out the minimizer.  The table may not exceed
+    lexicographically smallest minimizer of its full grid of candidates,
+    but evaluates the L1 objective only of the candidates whose lower
+    bound does not rule them out.  Level 0 tabulates that bound for all
+    ``coarse_grid**K`` candidates from their L2 distances.  A refinement
+    level evaluates the incumbent's row and bounds the rest with
+    L1-duality cuts, the signs of mixture - target at a few candidates
+    around the incumbent.  The L2 table may not exceed
     ``MDE_MAX_SWEEP`` (61**3) entries: ``coarse_grid`` is at most 476 for
     K = 2, 61 for K = 3, 21 for K = 4 and 11 for K = 5 (see
     ``check_sweep``).  K = 1 is held to the K = 2 limit, since its
@@ -300,20 +305,15 @@ class MdeContext:
     def solve(self, p_hat: GridDensity):
         """``(theta, objective)`` of the minimum-distance fit to ``p_hat``.
 
-        Level 0 is ``sweep_level0``; each refinement level builds the banks
-        of its window around the incumbent and sweeps all of its rows, and
-        replaces the incumbent only on a strict improvement.
+        Level 0 is ``sweep_level0`` and each refinement level is
+        ``sweep_refinement`` around the incumbent, which a level replaces
+        only on a strict improvement.
         """
         zeros = np.zeros(self.pad)
         target = np.concatenate([zeros, p_hat.values, zeros])
         theta, best_obj = self.sweep_level0(target)
         for level in range(1, self.cfg.refine_levels + 1):
-            axes = _refine_axes(self.cfg, level, theta)
-            banks = [_shift_bank(self.pts, self.f_hat, lam, axis)
-                     for lam, axis in zip(self.lambdas, axes)]
-            cand_theta, cand_obj = _sweep_full_grid(
-                target, self.quad, banks, axes,
-                itertools.product(*(range(a.size) for a in axes[:-1])))
+            cand_theta, cand_obj = self.sweep_refinement(target, level, theta)
             if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
                 theta, best_obj = cand_theta, cand_obj
         return tuple(float(v) for v in theta), float(best_obj)
@@ -344,72 +344,195 @@ class MdeContext:
 
     def sweep_level0(self, target: np.ndarray):
         """The level-0 sweep of the padded ``target``: what
-        ``_sweep_full_grid`` returns over all rows, from the rows that can
-        hold its minimiser.
+        ``_sweep_full_grid`` returns over all rows, from the candidates
+        that can be its minimiser.
 
         The mixture a and the target are nonnegative, so |a - target| <=
         U, the larger of the banks' summed peaks and the target's peak,
         and every candidate's L1 objective is at least its ``l2_table``
-        entry over U.  The row of the L2 argmin is swept first; its
-        minimum W0 bounds the optimum from above, and only the rows whose
-        bound is within ``slack`` of W0 are swept, that row once.
+        entry over U.  The L2 argmin's objective W0 bounds the optimum
+        from above, and only the candidates whose bound is within
+        ``slack`` of W0 are evaluated (``_sweep_screened``).
         """
         table = self.l2_table(target)
         peak = max(self.peak0, float(target.max()))
-        first = tuple(int(c) for c in
-                      np.unravel_index(int(table.argmin()), table.shape)[:-1])
-        first_objs = _row_objectives(target, self.quad, self.banks0, first,
-                                     _row_buffers(target, self.banks0))
-        w0 = float(first_objs.min())
-        # Skipping a row is exact when its minimum exceeds the optimum by
-        # more than the sweep's 1e-12 tie tolerances can chain over n_rows
-        # rows: it then changes neither the winner nor the tie-break.  The
-        # rest covers rounding: the L1 sums and the summed banks add
-        # nonnegative terms, and an expanded L2 sum's terms total at most
-        # quad @ (a + target)**2 <= 2 U mass in magnitude, so each is within
-        # a relative gamma of its exact value, and they total at most
-        # w0 + 1, 2 U mass and mass.  gamma covers 2 (n + k*k + k + 4)
+        first = np.unravel_index(int(table.argmin()), table.shape)
+        w0 = float(np.abs(_mixture(self.banks0, first) - target) @ self.quad)
+        # Skipping a candidate is exact when its objective exceeds the
+        # optimum by more than the sweep's 1e-12 tie tolerances can chain
+        # over n_rows rows: it then changes neither the winner nor the
+        # tie-break.  The rest covers rounding: the L1 sums and the summed
+        # banks add nonnegative terms, and an expanded L2 sum's terms total
+        # at most quad @ (a + target)**2 <= 2 U mass in magnitude, so each
+        # is within a relative gamma of its exact value, and they total at
+        # most w0 + 1, 2 U mass and mass.  gamma covers 2 (n + k*k + k + 4)
         # roundings; an L2 entry takes n + 1 in a Gram or gemv sum, two in
         # lambda products, one in the diagonal's difference, k (k + 1) / 2
         # in the table's sum and two as banks0[j] rounds lambdas[j] * bank0.
+        # Its factor 2 also covers w0 being a dot product where the sweep
+        # takes the same candidate's objective from a gemv.
         k = table.ndim
         n_rows = table.size // table.shape[-1]
         mass = self.mass0 + float(target @ self.quad)
-        gamma = 2.0 * (target.size + k * k + k + 4) * np.finfo(float).eps
-        slack = (2e-12 * (n_rows + 3) * (1.0 + w0)
-                 + gamma * (w0 + 1.0 + 3.0 * mass))
-        keep = np.asarray(table.min(axis=-1) <= peak * (w0 + slack))
+        slack = _screen_slack(w0, n_rows, target.size, k, mass)
+        keep = table <= peak * (w0 + slack)
         keep[first] = True
-        return _sweep_full_grid(target, self.quad, self.banks0, self.axes0,
-                                map(tuple, np.argwhere(keep).tolist()),
-                                {first: first_objs})
+        return _sweep_screened(target, self.quad, self.banks0, self.axes0,
+                               keep)
+
+    def sweep_refinement(self, target: np.ndarray, level: int, theta):
+        """Refinement level ``level`` around the incumbent ``theta``: what
+        ``_sweep_full_grid`` returns over the level's whole grid, from the
+        candidates that can be its minimiser.
+
+        The incumbent's row (the candidates nearest ``theta`` on every axis
+        but the last) is evaluated in full; its minimum W0 bounds the
+        level's optimum from above.  ``_cut_bounds`` bounds every other
+        candidate's objective from below, and only the candidates whose
+        bound is within ``slack`` of W0 are evaluated.  K = 1 has one row.
+        """
+        axes = _refine_axes(self.cfg, level, theta)
+        banks = [_shift_bank(self.pts, self.f_hat, lam, axis)
+                 for lam, axis in zip(self.lambdas, axes)]
+        if len(axes) == 1:
+            return _sweep_full_grid(target, self.quad, banks, axes, [()])
+        inc = tuple(int(np.abs(axis - t).argmin())
+                    for axis, t in zip(axes, theta))
+        buffers = _row_buffers(target, banks)
+        inc_objs = _row_objectives(target, self.quad, banks, inc[:-1],
+                                   buffers).copy()
+        w0 = float(inc_objs.min())
+        bound, mass = _cut_bounds(target, self.quad, banks, inc)
+        # Rounding, with gamma as in _screen_slack: a cut's table entry
+        # sums n terms no larger than quad * bank, its target term n no
+        # larger than quad * target, and the bound adds k tables and that
+        # term, so the bound is within gamma mass of its exact value, which
+        # is at most the candidate's exact L1 objective.  The computed
+        # objective sums k bank rows and then n nonnegative terms, so it is
+        # within gamma (L1 + mass) of the exact one.  A candidate whose
+        # bound exceeds w0 + slack thus has a computed objective above
+        # w0 + slack - gamma (w0 + slack + 2 mass): at least w0 plus the
+        # tie chain over this grid's rows, as gamma covers gamma * slack
+        # (slack < 1) and 3 mass covers 2 mass and the rounding of mass.
+        slack = _screen_slack(w0, bound.size // bound.shape[-1], target.size,
+                              len(axes), mass)
+        return _sweep_screened(target, self.quad, banks, axes,
+                               bound <= w0 + slack, {inc[:-1]: inc_objs},
+                               buffers)
+
+
+def _screen_slack(w0, n_rows, n_points, k, mass):
+    """How far above ``w0`` a lower bound on a candidate's objective may
+    lie and the candidate still be evaluated: the tie chain over
+    ``n_rows`` rows plus the rounding of bounds and objectives summed over
+    ``n_points`` grid points (see ``sweep_level0`` and
+    ``sweep_refinement``)."""
+    gamma = 2.0 * (n_points + k * k + k + 4) * np.finfo(float).eps
+    return (2e-12 * (n_rows + 3) * (1.0 + w0)
+            + gamma * (w0 + 1.0 + 3.0 * mass))
+
+
+def _cut_bounds(target, quad, banks, inc):
+    """L1-duality lower bounds on the objective of every candidate of a
+    grid, and the summed largest row masses of the banks and the target.
+
+    For any phi with |phi| <= 1, ``quad @ (phi * (a - target))`` is at most
+    ``quad @ |a - target|``, and it splits into one table per axis,
+    ``banks[j] @ (quad * phi)``, less ``target @ (quad * phi)``.  The cuts
+    phi are the signs of ``a - target`` at the incumbent ``inc`` and at
+    every third candidate (and the last) along each axis through it, which
+    makes each bound tight at its own candidate, plus phi = 1, whose table
+    holds the row masses.
+    """
+    resid = _mixture(banks, inc) - target
+    phis = [np.ones((1, target.size)), np.sign(resid)[None, :]]
+    for bank, c in zip(banks, inc):
+        n = bank.shape[0]
+        ids = sorted({*range(0, n, 3), n - 1} - {c})
+        phis.append(np.sign((resid - bank[c]) + bank[ids]))
+    weights = np.concatenate(phis)
+    weights *= quad
+    k = len(banks)
+    target_terms = weights @ target
+    bound = -target_terms
+    mass = float(target_terms[0])
+    for j, bank in enumerate(banks):
+        table = bank @ weights.T
+        shape = [1] * k + [weights.shape[0]]
+        shape[j] = bank.shape[0]
+        bound = bound + table.reshape(shape)
+        mass += float(table[:, 0].max())
+    return bound.max(axis=-1), mass
+
+
+def _mixture(banks, index):
+    """The mixture of the candidate ``index``: its bank rows summed in
+    axis order, as ``_row_objectives`` sums them."""
+    mix = banks[0][index[0]].copy()
+    for bank, c in zip(banks[1:], index[1:]):
+        mix += bank[c]
+    return mix
 
 
 def _row_buffers(target, banks):
     """Scratch for ``_row_objectives``: the summed earlier banks, the
-    row block and its objectives."""
-    return (np.empty(target.size), np.empty_like(banks[-1]),
+    row block and its objectives.  The block starts zeroed, since the
+    gemv reads all of it and a span writes only part."""
+    return (np.empty(target.size), np.zeros_like(banks[-1]),
             np.empty(banks[-1].shape[0]))
 
 
-def _row_objectives(target, quad, banks, combo, buffers):
+def _row_objectives(target, quad, banks, combo, buffers, span=None):
     """Objectives of one row: the candidates ``combo`` on every axis but
-    the last, and each candidate of the last.
+    the last, and each candidate of the last, or only those ``lo <= i <
+    hi`` of ``span = (lo, hi)``; the others read +inf.
 
     Evaluates ``|(base + bank) - target| @ quad`` in that order, with
     ``base`` the earlier axes' bank rows summed in axis order, so the
     result is bit-identical to fresh temporaries.  The gemv stays one
-    call over the whole row: splitting it into chunks changes its
-    rounding.
+    call over the whole row block, whatever the span: splitting it into
+    chunks changes its rounding.
     """
     base, rows, objs = buffers
     base.fill(0.0)
     for j, c in enumerate(combo):
         np.add(base, banks[j][c], out=base)
-    np.add(base, banks[-1], out=rows)
-    np.subtract(rows, target, out=rows)
-    np.abs(rows, out=rows)
-    return np.matmul(rows, quad, out=objs)
+    lo, hi = span if span is not None else (0, rows.shape[0])
+    block = rows[lo:hi]
+    np.add(base, banks[-1][lo:hi], out=block)
+    np.subtract(block, target, out=block)
+    np.abs(block, out=block)
+    np.matmul(rows, quad, out=objs)
+    objs[:lo] = math.inf
+    objs[hi:] = math.inf
+    return objs
+
+
+def _sweep_screened(target, quad, banks, axes, keep, known=None,
+                    buffers=None):
+    """``_sweep_full_grid`` over the rows that hold a candidate ``keep``
+    marks, and the rows of ``known``, taken as they are.
+
+    Each other row is evaluated only over the span from its first kept
+    candidate to its last.  Its candidates outside the span read +inf, so
+    the sweep is exact when every candidate ``keep`` leaves out has an
+    objective too large to win or join the winner's tie chain.
+    """
+    n = keep.shape[-1]
+    lo = keep.argmax(axis=-1)
+    hi = n - keep[..., ::-1].argmax(axis=-1)
+    swept = keep.any(axis=-1)
+    objs = dict(known or {})
+    for combo in objs:
+        swept[combo] = True
+    combos = list(map(tuple, np.argwhere(swept).tolist()))
+    buffers = buffers or _row_buffers(target, banks)
+    for combo in combos:
+        if combo not in objs:
+            objs[combo] = _row_objectives(
+                target, quad, banks, combo, buffers,
+                (int(lo[combo]), int(hi[combo]))).copy()
+    return _sweep_full_grid(target, quad, banks, axes, combos, objs)
 
 
 def _sweep_full_grid(target, quad, banks, axes, combos, known=None):
@@ -422,12 +545,13 @@ def _sweep_full_grid(target, quad, banks, axes, combos, known=None):
     lexicographically smallest argmin over those rows and its objective:
     earlier candidates win ties through a strict-improvement threshold.
     """
-    buffers = _row_buffers(target, banks)
+    buffers = None
     best_obj = math.inf
     best_theta = None
     for combo in combos:
         objs = known.get(combo) if known else None
         if objs is None:
+            buffers = buffers or _row_buffers(target, banks)
             objs = _row_objectives(target, quad, banks, combo, buffers)
         row_min = float(objs.min())
         tie = 1e-12 * (1.0 + abs(row_min))
@@ -602,8 +726,8 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
             f"need at least 50 K = {50 * k} samples, got {n}"
         )
     require_positive_finite(sigma, "sigma")
-    if x0 is not None and not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0!r}")
+    if x0 is not None:
+        require_finite(x0, "x0")
     bandwidth = bandwidth or BandwidthSchedule.power_law()
     kde = ConditionalKde(data, bandwidth, a=a, b=b)
     h = kde.h

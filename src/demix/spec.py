@@ -14,9 +14,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 
 from .kde import BandwidthSchedule
+from .measures import require_finite
 from .mixfit import DenoiseConfig, ProjectionConfig
 from .regfit import X_GRID_POINTS, MdeConfig
 from .synth import MixedRegressionModel, VanillaMixtureModel
@@ -40,9 +40,8 @@ def _check_model_values(value, name: str) -> None:
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _check_model_values(item, f"{name}[{i}]")
-    elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
-          or not math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    else:
+        require_finite(value, name)
 
 
 def model_from_json_obj(obj: dict):
@@ -142,8 +141,8 @@ class ExperimentSpec:
         if self.n_x_grid < 1:
             raise ValueError(f"n_x_grid must be a positive integer, "
                              f"got {self.n_x_grid!r}")
-        if self.x0 is not None and not math.isfinite(self.x0):
-            raise ValueError(f"x0 must be a finite number, got {self.x0!r}")
+        if self.x0 is not None:
+            require_finite(self.x0, "x0")
         if self.window is not None and not 0 < self.window < math.inf:
             raise ValueError(f"window must be a positive number, "
                              f"got {self.window!r}")
@@ -194,7 +193,8 @@ class ExperimentSpec:
             if not isinstance(block, dict):
                 raise ValueError("bandwidth must be a JSON object")
             _check_model_values(block, "bandwidth")
-            settings["bandwidth"] = BandwidthSchedule.from_json_obj(block)
+            settings["bandwidth"] = BandwidthSchedule.from_json_obj(
+                block, "bandwidth")
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         for key in ("x0", "n_x_grid", "window"):
             if key in configs:

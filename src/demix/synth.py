@@ -91,9 +91,14 @@ class _KindBlock:
         return {"kind": self.kind, **self.args}
 
     @classmethod
-    def from_json_obj(cls, obj: dict):
+    def from_json_obj(cls, obj: dict, name: str | None = None):
         """The block built by the classmethod named ``obj["kind"]``, one of
-        ``KINDS``, from the other keys of ``obj`` as keyword arguments."""
+        ``KINDS``, from the other keys of ``obj`` as keyword arguments.
+        ``ValueError`` names the block, as ``name`` or else the class,
+        unless ``obj`` is a JSON object."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"{name or cls.__name__} must be a JSON object, "
+                             f"got {obj!r}")
         obj = dict(obj)
         kind = obj.pop("kind")
         if kind not in cls.KINDS:
@@ -420,10 +425,12 @@ class MixedRegressionModel:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MixedRegressionModel":
         fields = {key: value for key, value in obj.items() if key != "type"}
-        fields["m"] = tuple(RegressionCurve.from_json_obj(c) for c in obj["m"])
-        fields["g0"] = MixingSpec.from_json_obj(obj["g0"])
+        fields["m"] = tuple(RegressionCurve.from_json_obj(c, f"model.m[{i}]")
+                            for i, c in enumerate(obj["m"]))
+        fields["g0"] = MixingSpec.from_json_obj(obj["g0"], "model.g0")
         if "p_x" in obj:
-            fields["p_x"] = CovariateSpec.from_json_obj(obj["p_x"])
+            fields["p_x"] = CovariateSpec.from_json_obj(obj["p_x"],
+                                                        "model.p_x")
         return cls(**fields)
 
 
@@ -509,7 +516,8 @@ class VanillaMixtureModel:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "VanillaMixtureModel":
         fields = {key: value for key, value in obj.items() if key != "type"}
-        fields["gks"] = tuple(MixingSpec.from_json_obj(g) for g in obj["gks"])
+        fields["gks"] = tuple(MixingSpec.from_json_obj(g, f"model.gks[{i}]")
+                              for i, g in enumerate(obj["gks"]))
         return cls(**fields)
 
 

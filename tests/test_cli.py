@@ -251,6 +251,12 @@ REJECTED_SPECS = [
      "model.g0.components[0][0][1]"),
     ("truncated_smooth_nan_q_sigma",
      model_with(g0={**TRUNCATED, "q_sigma": math.nan}), "model.g0.q_sigma"),
+    ("p_x_not_object", model_with(p_x=5),
+     "model.p_x must be a JSON object"),
+    ("g0_not_object", model_with(g0=[1, 2]),
+     "model.g0 must be a JSON object"),
+    ("curve_not_object", model_with(m=[LINE_DOWN, 6]),
+     "model.m[1] must be a JSON object"),
 ]
 
 
@@ -522,8 +528,9 @@ def test_model_block_classes_are_built_by_their_classmethods(cls, args,
 
 @pytest.mark.parametrize("field, value, named", [
     ("n_x_grid", 0, "n_x_grid"), ("x0", math.nan, "x0"),
+    ("x0", True, "x0"), ("x0", "1.0", "x0"),
     ("window", 0.0, "window"), ("n_values", (400, 400), "n must")],
-    ids=["n_x_grid", "x0", "window", "n_values"])
+    ids=["n_x_grid", "x0", "x0_bool", "x0_text", "window", "n_values"])
 def test_spec_built_directly_checks_its_settings(field, value, named):
     model = MixedRegressionModel.from_json_obj(crossing_lines_obj())
     settings = {"model": model, "n_values": (400,), "seeds": (0,),
@@ -693,6 +700,21 @@ def test_simulate_writes_csvs_and_manifest(tmp_path):
     assert manifest["model"]["type"] == "mixed_regression"
     assert manifest["seeds"] == [0, 1, 2]
     assert manifest["datasets"]["n50_seed1"] == "dataset_n50_seed1.csv"
+
+
+def test_csv_rows_hold_the_shortest_repr_of_each_value(tmp_path):
+    # Python's float repr: the shortest text that reads back to the same
+    # double, whatever the value's magnitude, sign or integrality.
+    values = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 5e-324, 1e22,
+              2.0 ** 53 + 2, math.pi]
+    path = tmp_path / "rows.csv"
+    cli._atomic_write_rows(str(path), ["a", "b"],
+                           np.array(values).reshape(-1, 2))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b"
+    assert lines[1:] == [f"{values[i]!r},{values[i + 1]!r}"
+                         for i in range(0, len(values), 2)]
+    assert lines[2] == "1.0,-2.5"
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):

@@ -1,10 +1,11 @@
 """The optimized minimum-distance solver against its loop-form oracle, its
-screened level-0 sweep against the exhaustive one, and the shared per-x
-solve pool against a serial loop.
+screened sweeps at level 0 and at the refinement levels against the
+exhaustive ones, and the shared per-x solve pool against a serial loop.
 
 Results are compared exactly: the optimized sweep keeps the oracle's
 arithmetic and its order, so any difference is a defect, not rounding.
-Only the screen's L2 table, a sum in another order, gets a tolerance.
+Only the screens' bounds, the L2 table and the L1-duality cuts, are sums
+in another order and get a tolerance.
 """
 
 import itertools
@@ -139,7 +140,7 @@ def test_solver_matches_oracle_four_components(seed):
 
 
 # ---------------------------------------------------------------------------
-# level-0 L2 screen == exhaustive level-0 sweep
+# screened sweeps == exhaustive sweeps
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -178,6 +179,115 @@ def test_screened_level0_equals_full_sweep(seed, k, tie):
         scale = ctx.quad @ (mix ** 2 + target ** 2)
         assert abs(table[tuple(idx)] - l2) <= 1e-9 * scale
         assert ctx.quad @ np.abs(mix - target) >= l2 / peak * (1 - 1e-12)
+
+
+def full_refinement(ctx, target, level, theta):
+    """``_sweep_full_grid`` over every row of refinement level ``level``
+    around ``theta``, on the banks ``sweep_refinement`` builds."""
+    axes = regfit._refine_axes(ctx.cfg, level, theta)
+    banks = [regfit._shift_bank(ctx.pts, ctx.f_hat, lam, axis)
+             for lam, axis in zip(ctx.lambdas, axes)]
+    return regfit._sweep_full_grid(
+        target, ctx.quad, banks, axes,
+        itertools.product(*(range(a.size) for a in axes[:-1])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 4]),
+       tie=st.booleans())
+def test_screened_refinement_equals_full_sweep(seed, k, tie):
+    p_hat, lambdas, f_hats, b_bound = random_problem(seed, k)
+    coarse = {1: 61, 2: 31, 3: 13, 4: 7}[k]
+    if tie:
+        lambdas = (1.0 / k,) * k
+    ctx = MdeContext(p_hat.spec(), lambdas, f_hats[0],
+                     MdeConfig(B=b_bound, coarse_grid=coarse))
+    rng = np.random.default_rng(seed)
+    zeros = np.zeros(ctx.pad)
+    target = np.concatenate([zeros, p_hat.values, zeros])
+    theta, obj = ctx.sweep_level0(target)
+    for level in range(1, 4):
+        # The incumbent as solve passes it, and a random centre that may
+        # lie far from the optimum or be clipped at the box.
+        centers = [theta, tuple(rng.uniform(-b_bound, b_bound, size=k))]
+        if tie:
+            # Equal weights and equal centres: every axis holds the same
+            # candidates and bank, so the orderings of the candidates that
+            # built the target tie exactly.
+            centers = [(float(rng.uniform(-b_bound, b_bound)),) * k]
+            axis = regfit._refine_axes(ctx.cfg, level, centers[0])[0]
+            bank = regfit._shift_bank(ctx.pts, ctx.f_hat, ctx.lambdas[0],
+                                      axis)
+            target = sum(bank[c] for c in rng.integers(0, axis.size, k))
+        got = [ctx.sweep_refinement(target, level, c) for c in centers]
+        for (theta_got, obj_got), center in zip(got, centers):
+            want_theta, want_obj = full_refinement(ctx, target, level, center)
+            assert np.array_equal(theta_got, want_theta)
+            assert obj_got == want_obj
+        if got[0][1] < obj - 1e-12 * (1.0 + abs(obj)):
+            theta, obj = got[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]))
+def test_cut_bounds_are_below_the_objective(seed, k):
+    # At random candidates of a refinement grid around a random centre:
+    # every cut bound is at most the direct L1 objective, the bound is
+    # tight at the incumbent, whose own sign pattern is one of the cuts,
+    # and the mass covers the banks' largest row masses and the target's.
+    p_hat, lambdas, f_hats, b_bound = random_problem(seed, k)
+    ctx = MdeContext(p_hat.spec(), lambdas, f_hats[0],
+                     MdeConfig(B=b_bound, coarse_grid=31))
+    rng = np.random.default_rng(seed)
+    zeros = np.zeros(ctx.pad)
+    target = np.concatenate([zeros, p_hat.values, zeros])
+    axes = regfit._refine_axes(ctx.cfg, 1,
+                               rng.uniform(-b_bound, b_bound, size=k))
+    banks = [regfit._shift_bank(ctx.pts, ctx.f_hat, lam, axis)
+             for lam, axis in zip(ctx.lambdas, axes)]
+    inc = tuple(int(i) for i in rng.integers(0, 13, size=k))
+    bound, mass = regfit._cut_bounds(target, ctx.quad, banks, inc)
+    assert bound.shape == (13,) * k
+    assert mass >= (sum((b @ ctx.quad).max() for b in banks)
+                    + ctx.quad @ target) * (1 - 1e-12)
+
+    def l1(idx):
+        mix = sum(banks[j][c] for j, c in enumerate(idx))
+        return ctx.quad @ np.abs(mix - target), ctx.quad @ (mix + target)
+
+    for idx in map(tuple, rng.integers(0, 13, size=(20, k))):
+        objective, scale = l1(idx)
+        assert bound[idx] <= objective + 1e-12 * scale
+    objective, scale = l1(inc)
+    assert abs(bound[inc] - objective) <= 1e-12 * scale
+
+
+def test_screen_evaluates_few_entries_per_level(monkeypatch):
+    # The screen passes each row it evaluates as known objectives, with
+    # +inf for the candidates it skipped: count the finite ones per level.
+    model = MixedRegressionModel(
+        a=-1.0, b=1.0, lambdas=(0.35, 0.65),
+        m=(RegressionCurve.line(1.0), RegressionCurve.line(-1.0)),
+        sigma=0.2, g0=MixingSpec.point_mass(), x0=1.0)
+    data = sample_mixed_regression(model, 5000, 0)
+    level0, refined = [], []
+    original = regfit._sweep_full_grid
+
+    def counting(target, quad, banks, axes, combos, known=None):
+        combos = list(combos)
+        evaluated = sum(int(np.isfinite(known[c]).sum()) for c in combos)
+        if axes[0].size == 61:
+            level0.append((evaluated, len(combos) * 61))
+        else:
+            refined.append(evaluated)
+        return original(target, quad, banks, axes, combos, known)
+
+    monkeypatch.setattr(regfit, "_sweep_full_grid", counting)
+    fit_mixed_regression(data, 2, 0.2, a=-1.0, b=1.0)
+    assert len(level0) == regfit.X_GRID_POINTS
+    assert len(refined) == 3 * regfit.X_GRID_POINTS
+    assert sum(e for e, _ in level0) < sum(held for _, held in level0)
+    assert np.mean(refined) < 169 / 2
 
 
 def test_screen_skips_most_level0_rows(monkeypatch):

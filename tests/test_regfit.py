@@ -733,6 +733,22 @@ def test_mde_recovers_theta_exactly_on_its_own_candidates(
     assert got == (tuple(float(v) for v in theta), 0.0)
 
 
+@pytest.mark.parametrize("x0", [True, "0.5", complex(0.5, 0.0)],
+                         ids=["bool", "text", "complex"])
+def test_x0_must_be_a_real_number(x0):
+    # True would otherwise fit at x0 = 1.
+    data = sample_mixed_regression(crossing_lines_model(), 400, seed=0)
+    with pytest.raises(ValueError, match="^x0 "):
+        fit_mixed_regression(data, 2, 0.2, x0=x0)
+
+
+def test_negative_x0_is_valid():
+    data = sample_mixed_regression(crossing_lines_model(), 400, seed=0)
+    fit = fit_mixed_regression(data, 2, 0.2, x0=np.float64(-0.5),
+                               n_x_grid=3)
+    assert fit.x0_used == -0.5
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_regression_settings_are_rejected_by_name(value):
     with pytest.raises(ValueError, match="^B "):
