@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import demix.measures
@@ -236,6 +236,8 @@ def test_simplex_row_miss_warns():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+# The oracle's dual simplex stops without a solution on this draw.
+@example(seed=41223)
 def test_column_generation_is_optimal_over_all_atoms(seed):
     design, target, quad = wide_lp(seed)
     with highs_runs() as runs:

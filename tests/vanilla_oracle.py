@@ -20,10 +20,18 @@ from demix.measures import GridDensity, WEIGHT_TOL
 
 def _solve(cost, n_atoms, design, target, quad_weights, tol, maxiter,
            **constraints):
+    options = {"maxiter": int(maxiter),
+               "primal_feasibility_tolerance": float(tol),
+               "dual_feasibility_tolerance": float(tol)}
     res = linprog(cost, **constraints, bounds=(0, None), method="highs",
-                  options={"maxiter": int(maxiter),
-                           "primal_feasibility_tolerance": float(tol),
-                           "dual_feasibility_tolerance": float(tol)})
+                  options=options)
+    if res.x is None:
+        # The dual simplex stops without a solution on a few untrimmed
+        # designs whose entries span 1e-195 to 1 (HiGHS status 4, model
+        # status "Not Set"); the interior-point method with crossover
+        # solves the same LP to an optimal basis.
+        res = linprog(cost, **constraints, bounds=(0, None),
+                      method="highs-ipm", options=options)
     assert res.x is not None, res.message
     w = np.maximum(res.x[:n_atoms], 0.0)
     total = w.sum()
