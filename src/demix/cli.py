@@ -147,7 +147,9 @@ def _load_dataset(out: str, n: int, seed: int, kind: str):
                              f"{len(header)} comma-separated values, "
                              f"got {row!r}")
     try:
-        values = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        # comments=None: np.loadtxt would drop a line from a "#" on.
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None,
+                            ndmin=2)
     except ValueError as exc:  # a value that is not a number
         for number, row in enumerate(lines[1:], start=2):
             try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyWindowError
 from .measures import (GridDensity, GridSpec, _sorted_box_mixture_density,
-                       require_positive_finite)
+                       require_finite, require_positive_finite)
 from .synth import Dataset, _KindBlock
 
 
@@ -70,6 +70,14 @@ class BandwidthSchedule(_KindBlock):
 # estimators
 # ---------------------------------------------------------------------------
 
+def _require_domain(a, b) -> None:
+    """Raise ``ValueError`` naming ``a`` or ``b`` unless each covariate
+    domain bound is None or a finite real number."""
+    for name, bound in (("a", a), ("b", b)):
+        if bound is not None:
+            require_finite(bound, name)
+
+
 class ConditionalKde:
     """Conditional response-density estimator over a covariate window.
 
@@ -82,6 +90,7 @@ class ConditionalKde:
     def __init__(self, dataset: Dataset,
                  schedule: BandwidthSchedule | None = None,
                  a: float | None = None, b: float | None = None):
+        _require_domain(a, b)
         self.dataset = dataset
         self.schedule = schedule or BandwidthSchedule.power_law()
         self.n = len(dataset)

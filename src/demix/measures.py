@@ -31,15 +31,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, hstack, identity, vstack
 
 from .errors import ProjectionError, ProjectionWarning
 
 try:
     from scipy.optimize._highspy._core import (
-        HighsLp,
         HighsModelStatus,
         MatrixFormat,
+        ObjSense,
         _Highs,
         kHighsInf,
         kSolutionStatusFeasible,
@@ -505,8 +504,12 @@ def _sorted_box_mixture_density(locs, wts, half_width: float,
     holding equal-weight samples pass ``np.sort(samples)`` and skip the
     permutation.
     """
-    cum_w = np.concatenate([[0.0], np.cumsum(wts)])
-    cum_wa = np.concatenate([[0.0], np.cumsum(wts * locs)])
+    # Each cumulative sum is written in place behind its leading zero;
+    # concatenating would hold two sample-sized copies of it at once.
+    cum_w = np.zeros(wts.size + 1)
+    np.cumsum(wts, out=cum_w[1:])
+    cum_wa = np.zeros(wts.size + 1)
+    np.cumsum(np.multiply(wts, locs, out=cum_wa[1:]), out=cum_wa[1:])
 
     points = grid.points()
     bounds = np.empty(grid.n_points + 1)
@@ -525,43 +528,52 @@ def _sorted_box_mixture_density(locs, wts, half_width: float,
 
 
 # The projection LP and its HiGHS plumbing live here so mixfit stays free of
-# scipy.sparse and the solver binding.
+# the solver binding.
 
-# The projection LP in equality form: each residual r_i = (design @ w -
-# target)_i is split as u_i - v_i with u, v >= 0, so the grid contributes
-# one equality row design_i @ w - u_i + v_i = target_i, and the simplex
-# adds the row sum(w) = 1.  That is n_grid + 1 rows, half the 2 n_grid + 1
-# of the inequality form |r_i| <= t_i, and each residual costs quad_i on
-# both u_i and v_i; at an optimum one of the two is zero, so the cost is
-# the quad-weighted L1 residual.
+# The projection LP in its dual form (Barrodale & Roberts 1973, discrete L1
+# approximation).  Minimising quad @ |design @ w - target| over the simplex
+# has the dual
+#     maximise target @ y + z  subject to  design[:, a] @ y + z <= 0 for
+#     each atom a,  -quad <= y <= quad,  z free,
+# with the same optimal value.  The atom weights are the duals of the atom
+# rows, and sum(w) = 1 is the dual condition of the free column z.  HiGHS
+# gets one row per atom in the model over n_grid + 1 columns, where the
+# primal form needs n_grid + 1 rows and a residual pair per grid point, and
+# each y_i is boxed, so it moves from bound to bound without a pivot.
 #
 # HiGHS ignores every constraint-matrix entry with |a| <= small_matrix_value
 # (default 1e-9) when it loads a model.  Leaving those entries out of the
 # sparse matrix gives HiGHS the same model without building, copying and
 # discarding them; the Gaussian design is mostly such entries.
 HIGHS_SMALL_MATRIX_VALUE = 1e-9
-# Primal and dual feasibility tolerance of the projection LP.
-LP_FEASIBILITY_TOL = 1e-8
-# Largest miss of the simplex row sum(w) = 1 that passes without a warning;
-# fitter designs miss by 1e-15.  Small designs with near-threshold entries
-# miss by up to 4e-6 under HiGHS's scaling and by at most 1.6e-10 without
-# it, so a miss past this bound is solved again unscaled.
+# Primal and dual feasibility tolerance of the projection LP, and the row
+# violation past which an atom enters the model.  At 1e-8 the weights of a
+# 2048 x 200 two-box design end 3.9e-9 off the optimum and the objective
+# 1e-7 above it; at 1e-9, 1e-14 off in about as many iterations.
+LP_FEASIBILITY_TOL = 1e-9
+# Largest miss of the simplex row sum(w) = 1 that passes without a warning.
+# The weights sum to 1 up to z's reduced cost, within 6.5e-10 over 22,000
+# random test LPs with near-threshold entries.
 SIMPLEX_ROW_TOL = 100 * LP_FEASIBILITY_TOL
 # Most atoms the projection LP starts from.  Up to this many every atom is
-# in the first and usually only round; past it the first round takes every
+# in the first and only round; past it the first round takes every
 # ceil(L / LP_FIRST_ROUND_ATOMS)-th atom and the rest enter by pricing.  On
-# the vanilla fit's 2048-row LPs one full solve is as fast as column
-# generation up to L of about 150, and slower beyond.
+# the vanilla fit's 2048-point grids that beats one solve over every atom
+# from L = 142 on, 30 against 40 ms, and by far at L = 1415, 61 against
+# 529 ms; a first round of 64 atoms is faster below L of about 250 and
+# slower at 1415 (medians of 5 on a 2-core x86-64 machine).
 LP_FIRST_ROUND_ATOMS = 128
 
 
 class LpSolution(tuple):
     """``(w, objective, optimal, iterations)`` of ``weighted_l1_lp``, with
-    the number of HiGHS runs behind it as ``rounds``."""
+    the number of HiGHS runs behind it as ``rounds`` and the number of
+    atoms in its final model as ``atoms``."""
 
-    def __new__(cls, w, objective, optimal, iterations, rounds):
+    def __new__(cls, w, objective, optimal, iterations, rounds, atoms):
         solution = super().__new__(cls, (w, objective, optimal, iterations))
         solution.rounds = rounds
+        solution.atoms = atoms
         return solution
 
 
@@ -571,40 +583,28 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
 
     Returns an ``LpSolution``, ``(w, objective, optimal, iterations)``,
     the last the HiGHS simplex iterations summed over every run, which
-    ``maxiter`` caps.  The residuals are split into nonnegative parts,
-    design @ w - target = u - v, so HiGHS solves the equality rows
-    ``[design, -I, I] @ (w, u, v) = target`` plus ``sum(w) = 1`` at cost
-    ``quad_weights`` on both u and v.  It solves them by column
-    generation on one live model: a first round over at most
-    ``LP_FIRST_ROUND_ATOMS`` atoms, then, from the live basis, rounds
-    that add every atom whose reduced cost under the row duals is below
-    minus the feasibility tolerance, until none is.  The result is
-    optimal for the LP over all atoms.  Atom weights that miss the
-    simplex row by more than ``SIMPLEX_ROW_TOL`` are solved again once
-    from the basis with HiGHS's scaling off.  The objective is evaluated
-    on the full dense design.
+    ``maxiter`` caps.  HiGHS solves the dual LP, ``target @ y + z`` at
+    its largest subject to ``design[:, a] @ y + z <= 0`` for each atom a
+    in the model and ``-quad_weights <= y <= quad_weights``; the atom
+    weights are the duals of those rows.  It solves it by row generation
+    on one live model: a first round over at most ``LP_FIRST_ROUND_ATOMS``
+    atoms, then, from the live basis, rounds that add the row of every
+    atom that the current (y, z) violates by more than the feasibility
+    tolerance, until none does.  The result is optimal for the LP over
+    all atoms.  The objective is evaluated on the full dense design.
 
     Raises ``ProjectionError`` when HiGHS leaves no solution with positive
     atom mass, for example on hitting ``maxiter``.  Warns with
     ``ProjectionWarning`` when it leaves one short of optimal, or atom
-    weights whose sum still misses 1 by more than ``SIMPLEX_ROW_TOL``
-    before they are renormalized.
+    weights whose sum misses 1 by more than ``SIMPLEX_ROW_TOL`` before
+    they are renormalized.
     """
     n_grid, n_atoms = design.shape
-    rows, cols = np.nonzero(np.abs(design) > HIGHS_SMALL_MATRIX_VALUE)
-    # Each atom's kept design entries, then its entry in the simplex row.
-    atom_cols = vstack([
-        csc_matrix((design[rows, cols], (rows, cols)), shape=design.shape),
-        np.ones((1, n_atoms)),
-    ], format="csc")
     model_atoms = np.arange(0, n_atoms,
                             -(-n_atoms // LP_FIRST_ROUND_ATOMS))
-    highs = _equality_form_model(atom_cols[:, model_atoms], target,
-                                 quad_weights)
-    # Model columns: the first round's atoms, u, v, then the added atoms.
-    residual_cols = np.s_[model_atoms.size:model_atoms.size + 2 * n_grid]
+    highs = _dual_model(_trimmed(design[:, model_atoms]), target,
+                        quad_weights)
     iterations = rounds = 0
-    scaled = True
     while True:
         highs.setOptionValue("simplex_iteration_limit", maxiter - iterations)
         highs.run()
@@ -614,35 +614,23 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
         status = highs.getModelStatus()
         solution = highs.getSolution()
         w = np.zeros(n_atoms)
-        # HiGHS leaves an iterate after every run.  Read it only when it is
-        # primal feasible and the run did not stop on the iteration cap,
-        # where scipy's linprog gave no solution either.
+        # HiGHS leaves an iterate after every run.  Read its row duals only
+        # when they are dual feasible and the run did not stop on the
+        # iteration cap, where scipy's linprog gave no solution either.
+        # HiGHS minimises -(target @ y + z), so the atom rows' duals are -w.
         if (status != HighsModelStatus.kIterationLimit
-                and info.primal_solution_status == kSolutionStatusFeasible):
-            x = np.delete(np.asarray(solution.col_value), residual_cols)
-            w[model_atoms] = np.maximum(x, 0.0)
-        if status != HighsModelStatus.kOptimal:
+                and info.dual_solution_status == kSolutionStatusFeasible):
+            w[model_atoms] = np.maximum(-np.asarray(solution.row_dual), 0.0)
+        if status != HighsModelStatus.kOptimal or model_atoms.size == n_atoms:
             break
-        if scaled and abs(w.sum() - 1.0) > SIMPLEX_ROW_TOL:
-            # HiGHS keeps its scaled simplex state across an option change:
-            # a run right after one read atom weights summing to 0.008 on
-            # a near-threshold design.  A cleared solver started from the
-            # saved basis solves the unscaled LP.
-            basis = highs.getBasis()
-            highs.clearSolver()
-            highs.setOptionValue("simplex_scale_strategy", 0)
-            highs.setBasis(basis)
-            scaled = False
-            continue
-        reduced = -(atom_cols.T @ np.asarray(solution.row_dual))
-        reduced[model_atoms] = 0.0  # HiGHS prices the model's own atoms
-        enter = np.flatnonzero(reduced < -LP_FEASIBILITY_TOL)
+        enter, rows = _violated_rows(design, np.asarray(solution.col_value),
+                                     model_atoms)
         if enter.size == 0:
             break
-        block = atom_cols[:, enter]
-        highs.addCols(enter.size, np.zeros(enter.size), np.zeros(enter.size),
-                      np.full(enter.size, kHighsInf), block.nnz,
-                      block.indptr[:-1], block.indices, block.data)
+        start, index, value = _compressed(
+            np.hstack([rows, np.ones((enter.size, 1))]))
+        highs.addRows(enter.size, np.full(enter.size, -kHighsInf),
+                      np.zeros(enter.size), value.size, start, index, value)
         model_atoms = np.concatenate([model_atoms, enter])
     total = float(w.sum())
     message = highs.modelStatusToString(status)
@@ -661,37 +649,64 @@ def weighted_l1_lp(design: np.ndarray, target: np.ndarray,
     w = w / total
     objective = float(quad_weights @ np.abs(design @ w - target))
     return LpSolution(w, objective, status == HighsModelStatus.kOptimal,
-                      iterations, rounds)
+                      iterations, rounds, model_atoms.size)
 
 
-def _equality_form_model(atom_cols, target, quad_weights) -> _Highs:
-    """A HiGHS instance holding the equality-form LP over the atom columns
-    given.  Its options are those scipy's ``linprog(method="highs")`` sets,
-    except that the simplex solver is fixed, since later rounds restart
-    from its basis."""
-    n_grid = target.size
-    eye = identity(n_grid, format="csc")
-    a_model = hstack([atom_cols, vstack([hstack([-eye, eye]),
-                                         csc_matrix((1, 2 * n_grid))])],
-                     format="csc")
-    n_cols = a_model.shape[1]
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_grid + 1
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a_model.indptr
-    lp.a_matrix_.index_ = a_model.indices
-    lp.a_matrix_.value_ = a_model.data
-    lp.col_cost_ = np.concatenate([np.zeros(atom_cols.shape[1]),
-                                   quad_weights, quad_weights])
-    lp.col_lower_ = np.zeros(n_cols)
-    lp.col_upper_ = np.full(n_cols, kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = np.append(target, 1.0)
+def _trimmed(block: np.ndarray) -> np.ndarray:
+    """``block`` with the entries HiGHS ignores set to zero."""
+    return np.where(np.abs(block) > HIGHS_SMALL_MATRIX_VALUE, block, 0.0)
+
+
+def _compressed(block: np.ndarray):
+    """Start, index and value arrays of the nonzero entries of ``block``,
+    row by row, as HiGHS takes a matrix."""
+    nonzero = block != 0.0
+    start = np.zeros(block.shape[0] + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=start[1:])
+    return (start, np.nonzero(nonzero)[1].astype(np.int32),
+            block[nonzero])
+
+
+def _violated_rows(design, y_z, model_atoms):
+    """The atoms outside the model whose dual rows ``y_z`` violates by more
+    than ``LP_FEASIBILITY_TOL``, with their trimmed design columns as
+    rows."""
+    y, z = y_z[:-1], y_z[-1]
+    # The dense product also counts the entries HiGHS ignores, which move
+    # a row by at most HIGHS_SMALL_MATRIX_VALUE * sum(|y|); the rows within
+    # twice that of the tolerance are priced again from their kept entries.
+    activity = y @ design + z
+    activity[model_atoms] = -np.inf
+    near = np.flatnonzero(activity > LP_FEASIBILITY_TOL
+                          - 2 * HIGHS_SMALL_MATRIX_VALUE * np.abs(y).sum())
+    rows = _trimmed(design[:, near]).T
+    violated = rows @ y + z > LP_FEASIBILITY_TOL
+    return near[violated], rows[violated]
+
+
+def _dual_model(first: np.ndarray, target, quad_weights) -> _Highs:
+    """A HiGHS instance holding the dual LP over the trimmed design columns
+    ``first``, one row per atom.  Its model and options are those scipy's
+    ``linprog(method="highs")`` builds for ``-(target, 1)``, ``A_ub`` =
+    ``[design.T | 1]`` and ``b_ub`` = 0, except that the simplex solver is
+    fixed, since later rounds restart from its basis."""
+    n_grid, n_rows = first.shape
+    # The matrix by columns: y_i's column is grid row i of the design, and
+    # z's column is all ones.
+    start, index, value = _compressed(np.vstack([first, np.ones(n_rows)]))
     highs = _Highs()
-    for option, value in (("output_flag", False), ("presolve", "on"),
-                          ("solver", "simplex"),
-                          ("primal_feasibility_tolerance", LP_FEASIBILITY_TOL),
-                          ("dual_feasibility_tolerance", LP_FEASIBILITY_TOL)):
-        highs.setOptionValue(option, value)
-    highs.passModel(lp)
+    for option, setting in (
+            ("output_flag", False), ("presolve", "on"), ("solver", "simplex"),
+            ("primal_feasibility_tolerance", LP_FEASIBILITY_TOL),
+            ("dual_feasibility_tolerance", LP_FEASIBILITY_TOL)):
+        highs.setOptionValue(option, setting)
+    # The array form of passModel takes the model without converting each
+    # entry to a Python object, as the HighsLp fields do.  It reads an
+    # integrality flag per column: zeros mark every column continuous.
+    highs.passModel(n_grid + 1, n_rows, value.size, MatrixFormat.kColwise,
+                    ObjSense.kMinimize, 0.0, np.append(-target, -1.0),
+                    np.append(-quad_weights, -kHighsInf),
+                    np.append(quad_weights, kHighsInf),
+                    np.full(n_rows, -kHighsInf), np.zeros(n_rows),
+                    start, index, value, np.zeros(n_grid + 1, dtype=np.int32))
     return highs

@@ -70,7 +70,8 @@ class ProjectionConfig:
     estimates that is the data hull widened by the bandwidth.
     ``L`` may not exceed ``MAX_ATOMS`` (2**16); the default reaches it
     only above n of about 4.3e9.  ``max_iters`` caps the HiGHS simplex
-    iterations summed over every round of the LP's column generation (see
+    iterations summed over every round of the LP's row generation, which
+    solves the projection in its dual form (see
     ``measures.weighted_l1_lp``); the feasibility tolerance is fixed at
     ``measures.LP_FEASIBILITY_TOL``.
     """
@@ -129,13 +130,15 @@ class DenoiseConfig:
 @dataclass(frozen=True)
 class ProjectionResult:
     """Projected mixing measure plus solve metadata: the HiGHS status, the
-    iterations summed over all runs, and the number of runs."""
+    iterations summed over all runs, the number of runs, and the atoms in
+    the final model (the rows of the dual LP)."""
 
     measure: DiscreteMeasure
     objective: float
     converged: bool
     iterations: int
     rounds: int
+    atoms: int
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
     keep = w > ATOM_PRUNE_TOL
     measure = DiscreteMeasure(atoms[keep], w[keep] / w[keep].sum())
     return ProjectionResult(measure, objective, optimal, iterations,
-                            lp.rounds)
+                            lp.rounds, lp.atoms)
 
 
 def smooth(g: DiscreteMeasure, delta: float, eval_grid: GridSpec
@@ -422,6 +425,7 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
         "converged": proj.converged,
         "lp_iterations": proj.iterations,
         "lp_rounds": proj.rounds,
+        "lp_atoms": proj.atoms,
         "delta": delta,
         "t_initial": t0,
         "t": t,

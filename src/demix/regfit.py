@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyWindowError, InsufficientDataError
-from .kde import BandwidthSchedule, ConditionalKde
+from .kde import BandwidthSchedule, ConditionalKde, _require_domain
 from .measures import (GridDensity, GridSpec, l1_distance, require_finite,
                        require_int, require_positive_finite,
                        trapezoid_weights, widest_gap_bounds)
@@ -252,8 +252,8 @@ class MdeContext:
     weights, the copies' summed peaks and their summed largest row masses.
     Level 0 sweeps the whole box [-B, B] on every axis, so all of these
     depend on the grid, weights, density and settings but not on the target.
-    ``solve`` fits one target; it writes nothing here, so concurrent
-    solves may share one context.
+    ``solve`` fits one target; it writes nothing here but each thread's
+    own row buffers, so concurrent solves may share one context.
     """
 
     def __init__(self, grid: GridSpec, lambdas, f_hat, cfg: MdeConfig):
@@ -291,6 +291,7 @@ class MdeContext:
         for arr in (self.pts, self.quad, axis, self.bank0, *self.banks0,
                     self.gram0):
             arr.flags.writeable = False
+        self._scratch = threading.local()
 
     def check_serves(self, p_hat: GridDensity, lambdas, f_hat,
                      cfg: MdeConfig) -> None:
@@ -317,6 +318,16 @@ class MdeContext:
             if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
                 theta, best_obj = cand_theta, cand_obj
         return tuple(float(v) for v in theta), float(best_obj)
+
+    def row_buffers(self, banks):
+        """This thread's ``_row_buffers`` for row blocks shaped like
+        ``banks[-1]``, made on first use and reused by every later solve
+        on the thread."""
+        sets = self._scratch.__dict__.setdefault("sets", {})
+        n_rows = banks[-1].shape[0]
+        if n_rows not in sets:
+            sets[n_rows] = _row_buffers(self.pts, banks)
+        return sets[n_rows]
 
     def l2_table(self, target: np.ndarray) -> np.ndarray:
         """``sum(quad * (a - target)**2)`` for the mixture ``a`` of every
@@ -378,7 +389,7 @@ class MdeContext:
         keep = table <= peak * (w0 + slack)
         keep[first] = True
         return _sweep_screened(target, self.quad, self.banks0, self.axes0,
-                               keep)
+                               keep, buffers=self.row_buffers(self.banks0))
 
     def sweep_refinement(self, target: np.ndarray, level: int, theta):
         """Refinement level ``level`` around the incumbent ``theta``: what
@@ -398,7 +409,7 @@ class MdeContext:
             return _sweep_full_grid(target, self.quad, banks, axes, [()])
         inc = tuple(int(np.abs(axis - t).argmin())
                     for axis, t in zip(axes, theta))
-        buffers = _row_buffers(target, banks)
+        buffers = self.row_buffers(banks)
         inc_objs = _row_objectives(target, self.quad, banks, inc[:-1],
                                    buffers).copy()
         w0 = float(inc_objs.min())
@@ -477,7 +488,9 @@ def _mixture(banks, index):
 def _row_buffers(target, banks):
     """Scratch for ``_row_objectives``: the summed earlier banks, the
     row block and its objectives.  The block starts zeroed, since the
-    gemv reads all of it and a span writes only part."""
+    gemv reads all of it and a span writes only part; reused, it holds
+    finite values of earlier rows, and each gemv output reads only its
+    own row."""
     return (np.empty(target.size), np.zeros_like(banks[-1]),
             np.empty(banks[-1].shape[0]))
 
@@ -618,6 +631,7 @@ def find_separation_point(data: Dataset, k: int, window: float,
     if k < 1:
         raise ValueError("K must be at least 1")
     require_positive_finite(window, "window")
+    _require_domain(a, b)
     a = float(data.x.min()) if a is None else float(a)
     b = float(data.x.max()) if b is None else float(b)
     if not a < b:
@@ -728,6 +742,7 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     require_positive_finite(sigma, "sigma")
     if x0 is not None:
         require_finite(x0, "x0")
+    _require_domain(a, b)
     bandwidth = bandwidth or BandwidthSchedule.power_law()
     kde = ConditionalKde(data, bandwidth, a=a, b=b)
     h = kde.h

@@ -880,7 +880,7 @@ def test_fit_with_massless_lp_weights_records_projection_error(
 
         def getSolution(self):
             solution = super().getSolution()
-            solution.col_value = np.zeros(len(solution.col_value))
+            solution.row_dual = np.zeros(len(solution.row_dual))
             return solution
 
     monkeypatch.setattr(demix.measures, "_Highs", MasslessHighs)
@@ -930,6 +930,13 @@ MALFORMED_DATASETS = [
     ("infinite_regression", "regression", "x,y\n0.0,1.0\n0.5,inf\n",
      "line 3: non-finite"),
     ("infinite", "mixture", "y\n0.0\n1.0\n-inf\n", "line 4: non-finite"),
+    # np.loadtxt's default comments="#" used to drop these silently.
+    ("comment_row", "regression", "x,y\n0.1,0.2\n#0.3,0.4\n0.5,0.6\n",
+     "line 3: not a number"),
+    ("comment_mixture", "mixture", "y\n0.1\n#0.3\n0.5\n",
+     "line 3: not a number"),
+    ("trailing_comment", "regression", "x,y\n0.1,0.2#note\n",
+     "line 2: not a number"),
 ]
 
 

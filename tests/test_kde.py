@@ -225,6 +225,14 @@ def test_conditional_no_interior_rejected():
         ConditionalKde(data, BandwidthSchedule.fixed(0.6), a=0.0, b=1.0)
 
 
+@pytest.mark.parametrize("bound, value", [("a", -math.inf), ("b", math.inf),
+                                          ("a", "-1"), ("b", True)])
+def test_conditional_checks_domain_bounds(bound, value):
+    data = Dataset(np.linspace(-1.0, 1.0, 50), np.zeros(50))
+    with pytest.raises(ValueError, match=f"^{bound} must be a finite number"):
+        ConditionalKde(data, BandwidthSchedule.fixed(0.2), **{bound: value})
+
+
 def test_conditional_error_bound_flat_model():
     # Calibrated: all ten seeds land at or under 0.2 (max observed 0.197).
     grid = GridSpec(-6.0, 6.0, 1025)

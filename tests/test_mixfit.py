@@ -174,26 +174,32 @@ def test_project_validation():
         project_to_gaussian_mixture(p_hat, 0.5, ProjectionConfig(L=None, M=2.0))
 
 
-def test_projection_lp_is_equality_form(monkeypatch):
-    # One equality row per grid point, design_i @ w - u_i + v_i = p_i,
-    # plus the simplex row, with only the design entries HiGHS keeps.
+def test_projection_lp_is_dual_form(monkeypatch):
+    # One row per atom, design[:, a] @ y + z <= 0 with only the design
+    # entries HiGHS keeps, over one column y_i per grid point, boxed by
+    # the trapezoid weights, and the free column z.
     models = []
 
     class RecordingHighs(demix.measures._Highs):
-        def passModel(self, lp):
-            models.append(lp)
-            return super().passModel(lp)
+        def passModel(self, *model):
+            models.append(model)
+            return super().passModel(*model)
 
     monkeypatch.setattr(demix.measures, "_Highs", RecordingHighs)
     grid = GridSpec(-6.0, 6.0, 512)
     p_hat = gaussian_pair_density([0.3, 0.7], [-2.5, 2.5], 0.25, grid)
     n_atoms = 41
-    project_to_gaussian_mixture(p_hat, 0.25, ProjectionConfig(L=n_atoms,
-                                                              M=4.0))
-    (lp,) = models
-    assert lp.num_row_ == grid.n_points + 1
-    assert lp.num_col_ == n_atoms + 2 * grid.n_points
-    assert np.array_equal(lp.row_lower_, lp.row_upper_)
+    res = project_to_gaussian_mixture(p_hat, 0.25,
+                                      ProjectionConfig(L=n_atoms, M=4.0))
+    ((n_cols, n_rows, n_nz, _, _, _, cost, col_lower, col_upper, row_lower,
+      row_upper, _, _, value, _),) = models
+    assert (n_cols, n_rows) == (grid.n_points + 1, n_atoms)
+    assert res.atoms == n_atoms
+    quad = p_hat.trapezoid_weights()
+    assert np.array_equal(cost, -np.append(p_hat.values, 1.0))
+    assert np.array_equal(col_lower, np.append(-quad, -np.inf))
+    assert np.array_equal(col_upper, np.append(quad, np.inf))
+    assert np.all(row_lower == -np.inf) and np.all(row_upper == 0.0)
     design = np.column_stack([
         gaussian_blur_values(np.array([a]), np.array([1.0]), 0.25,
                              grid.points())
@@ -201,7 +207,7 @@ def test_projection_lp_is_equality_form(monkeypatch):
     kept = np.count_nonzero(
         np.abs(design) > demix.measures.HIGHS_SMALL_MATRIX_VALUE)
     assert kept < design.size
-    assert len(lp.a_matrix_.value_) == kept + 2 * grid.n_points + n_atoms
+    assert n_nz == len(value) == kept + n_atoms
 
 
 def test_projection_reports_lp_iterations():
@@ -228,6 +234,20 @@ def test_projection_reports_lp_rounds():
     assert back.diagnostics["lp_rounds"] == rounds
     small = fit_vanilla_mixture(samples[:4000], 2, 0.25)
     assert small.diagnostics["lp_rounds"] == 1
+
+
+def test_projection_reports_lp_atoms():
+    # The first round of L = 142 atoms takes every second one; the rest
+    # enter only where their dual rows are violated.
+    samples = sample_vanilla_mixture(two_bump_model(), 20_000, seed=1)
+    fit = fit_vanilla_mixture(samples, 2, 0.25)
+    atoms = fit.diagnostics["lp_atoms"]
+    assert type(atoms) is int
+    assert -(-fit.diagnostics["L"] // 2) < atoms < fit.diagnostics["L"]
+    back = MixtureFit.from_json_obj(json.loads(json.dumps(fit.to_json_obj())))
+    assert back.diagnostics["lp_atoms"] == atoms
+    small = fit_vanilla_mixture(samples[:4000], 2, 0.25)
+    assert small.diagnostics["lp_atoms"] == small.diagnostics["L"]
 
 
 def test_project_without_lp_solution_raises():
@@ -271,7 +291,7 @@ class MasslessHighs(demix.measures._Highs):
 
     def getSolution(self):
         solution = super().getSolution()
-        solution.col_value = np.zeros(len(solution.col_value))
+        solution.row_dual = np.zeros(len(solution.row_dual))
         return solution
 
 

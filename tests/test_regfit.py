@@ -503,6 +503,28 @@ def test_fit_checks_n_x_grid_before_any_work(value):
             fit_mixed_regression(data, 2, 0.2, x0=1.0, n_x_grid=value)
 
 
+@pytest.mark.parametrize("bound, value", [("a", -math.inf), ("b", math.inf),
+                                          ("a", "-1"), ("b", math.nan)])
+def test_fit_checks_domain_bounds_before_any_work(bound, value):
+    # a=-inf used to fail only in RegressionFit, b=inf with a misleading
+    # InsufficientDataError, and text was parsed and fitted.
+    data = sample_mixed_regression(crossing_lines_model(), 400, seed=0)
+    with mock.patch("demix.regfit.ConditionalKde",
+                    side_effect=AssertionError("fit started")):
+        with pytest.raises(ValueError,
+                           match=f"^{bound} must be a finite number"):
+            fit_mixed_regression(data, 2, 0.2, **{bound: value})
+
+
+@pytest.mark.parametrize("bound, value", [("a", -math.inf), ("b", math.inf),
+                                          ("a", "-1")])
+def test_find_separation_checks_domain_bounds(bound, value):
+    # a=-inf used to return a point after RuntimeWarnings.
+    data = alternating_dataset(400)
+    with pytest.raises(ValueError, match=f"^{bound} must be a finite number"):
+        find_separation_point(data, 2, window=0.2, **{bound: value})
+
+
 def test_fit_finds_x0_when_omitted():
     model = crossing_lines_model()
     data = sample_mixed_regression(model, 5000, seed=1)

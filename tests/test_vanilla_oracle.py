@@ -4,11 +4,11 @@ Equality is exact against the oracle forms in ``vanilla_oracle``: the
 library hands HiGHS the same model and the cumulative sums the same
 sorted arrays, so any difference is a defect, not rounding.  That holds
 for LPs the library solves in one HiGHS run, every atom in one round.
-One that takes more runs, adding atoms by column generation or solving
-again unscaled, is a different path to the same LP, and it is checked
-for optimality over all atoms and against the oracle's objective.  The
-equality-form LP and the former inequality form are different models of
-one problem and agree to a tolerance.
+One that takes more runs, adding atoms by row generation, is a different
+path to the same LP, and it is checked for optimality over all atoms and
+against the oracle's objective.  The dual form the library solves and
+the primal equality and inequality forms it solved before are different
+models of one problem and agree to a tolerance.
 """
 
 from contextlib import contextmanager
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize._highspy._core import HighsBasisStatus
 
 import demix.measures
 import vanilla_oracle as oracle
@@ -25,7 +26,7 @@ from demix.errors import ProjectionError, ProjectionWarning
 from demix.kde import (BandwidthSchedule, ConditionalKde,
                        conditional_density_at, univariate_kde)
 from demix.measures import (HIGHS_SMALL_MATRIX_VALUE, LP_FEASIBILITY_TOL,
-                            LP_FIRST_ROUND_ATOMS, SIMPLEX_ROW_TOL, GridSpec,
+                            LP_FIRST_ROUND_ATOMS, GridSpec,
                             gaussian_blur_values, weighted_l1_lp)
 from demix.synth import (Dataset, MixingSpec, VanillaMixtureModel,
                          sample_vanilla_mixture)
@@ -64,7 +65,8 @@ def assert_equivalent_lp(got, want):
 @contextmanager
 def highs_runs(solution=None):
     """Log every HiGHS run of ``weighted_l1_lp`` as (model status,
-    iterations, solution); ``solution`` edits what the library reads."""
+    iterations, solution, basis); ``solution`` edits what the library
+    reads."""
     runs = []
 
     class LoggedHighs(demix.measures._Highs):
@@ -72,7 +74,7 @@ def highs_runs(solution=None):
             status = super().run()
             runs.append((self.getModelStatus(),
                          self.getInfo().simplex_iteration_count,
-                         super().getSolution()))
+                         super().getSolution(), self.getBasis()))
             return status
 
         def getSolution(self):
@@ -83,12 +85,27 @@ def highs_runs(solution=None):
         yield runs
 
 
-def reduced_costs(design, row_dual):
-    """Reduced cost of every atom column of the equality-form LP HiGHS is
-    given, under its row duals."""
+def row_violations(design, col_value):
+    """How far the dual LP's solution (y, z) violates the row
+    ``design[:, a] @ y + z <= 0`` of every atom a, over the design entries
+    HiGHS keeps."""
     kept = np.where(np.abs(design) > HIGHS_SMALL_MATRIX_VALUE, design, 0.0)
-    row_dual = np.asarray(row_dual)
-    return -(kept.T @ row_dual[:-1] + row_dual[-1])
+    col_value = np.asarray(col_value)
+    return kept.T @ col_value[:-1] + col_value[-1]
+
+
+def nondegenerate(run, quad):
+    """Whether a HiGHS run left every basic variable of the dual LP off
+    its bounds: each basic y_i strictly inside [-quad_i, quad_i] and each
+    basic row slack.  The atom weights, its row duals, are then the one
+    optimum."""
+    _, _, solution, basis = run
+    basic = HighsBasisStatus.kBasic
+    y = np.asarray(solution.col_value)[:-1]
+    y_basic = np.array([status == basic for status in basis.col_status[:-1]])
+    row_basic = np.array([status == basic for status in basis.row_status])
+    return bool(np.all(np.abs(y[y_basic]) < (1.0 - 1e-6) * quad[y_basic])
+                and np.all(np.asarray(solution.row_value)[row_basic] < -1e-6))
 
 
 def assert_same_density(got, want):
@@ -146,22 +163,40 @@ def wide_lp(seed: int):
 # projection LP
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::demix.errors.ProjectionWarning")
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_lp_matches_untrimmed_oracle(seed):
     design, target, quad = random_lp(seed)
     got = weighted_l1_lp(design, target, quad)
-    if got.rounds == 1:
-        assert_same_lp(got, oracle.weighted_l1_lp(design, target, quad))
-        return
-    # About 1 draw in 1,500 misses the simplex row under HiGHS's scaling
-    # and is solved again unscaled; the inequality form, whose row misses
-    # by at most 4e-9, then gives the reference objective.
-    _, objective_ineq, optimal_ineq, _ = oracle.weighted_l1_lp_inequality(
-        design, target, quad)
-    assert got[2] and optimal_ineq
-    assert got[1] == pytest.approx(objective_ineq, rel=1e-6)
+    assert got.rounds == 1 and got.atoms == design.shape[1]
+    assert_same_lp(got, oracle.weighted_l1_lp(design, target, quad))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+def test_dual_form_matches_primal_forms(seed, wide):
+    # Over 600 random_lp and 200 wide_lp draws the objectives agree with
+    # the inequality form's to 1.3e-9 relative at worst.  Where the
+    # optimum is unique, the weights agree with those of the closer
+    # primal form to 5e-11; each primal form alone misses them by up to
+    # 1.4e-8 on some draws.  Elsewhere the weights may differ by up to
+    # 0.83 at the same objective.  The equality form misses its simplex
+    # row on a few draws, which only raises its objective: by 1.6e-8 on
+    # one draw in 400.
+    design, target, quad = (wide_lp if wide else random_lp)(seed)
+    with highs_runs() as runs:
+        got = weighted_l1_lp(design, target, quad)
+    w_eq, objective_eq, optimal_eq, _ = oracle.weighted_l1_lp_equality(
+        design, target, quad, maxiter=100_000)
+    w_ineq, objective_ineq, optimal_ineq, _ = \
+        oracle.weighted_l1_lp_inequality(design, target, quad,
+                                         maxiter=100_000)
+    assert got[2] and optimal_eq and optimal_ineq
+    assert got[1] == pytest.approx(objective_ineq, rel=1e-9, abs=1e-8)
+    assert got[1] <= objective_eq + max(1e-9 * objective_eq, 1e-8)
+    if nondegenerate(runs[-1], quad):
+        assert min(np.max(np.abs(got[0] - w_eq)),
+                   np.max(np.abs(got[0] - w_ineq))) <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +208,8 @@ def test_equality_form_matches_inequality_form(seed):
     # inequality form's by at most 4e-9); normalizing the weights carries
     # that into the objective, at worst 1.8e-5 relative in 13,000 draws.
     design, target, quad = random_lp(seed)
-    _, objective, optimal, _ = oracle.weighted_l1_lp(design, target, quad)
+    _, objective, optimal, _ = oracle.weighted_l1_lp_equality(
+        design, target, quad)
     _, objective_ineq, optimal_ineq, _ = oracle.weighted_l1_lp_inequality(
         design, target, quad)
     assert optimal == optimal_ineq
@@ -182,79 +218,69 @@ def test_equality_form_matches_inequality_form(seed):
 
 def test_lp_matches_oracle_on_edge_entries_alone():
     # Every column is nothing but entries at or next to the threshold.
-    # Under HiGHS's scaling the weights sum to 1 + 1.3e-6, so the library
-    # solves again unscaled from the same basis; the oracle keeps that
-    # vertex and renormalizes it.
+    # The equality form's weights sum to 1 + 1.3e-6 here under HiGHS's
+    # scaling; the dual form's sum is its free column's reduced cost, and
+    # one run solves it.
     rng = np.random.default_rng(5)
     design = rng.choice(EDGE_VALUES, size=(40, 12))
     design[:, 0] = 1.0
     target = np.abs(rng.standard_normal(40))
     quad = np.full(40, 0.1)
     got = weighted_l1_lp(design, target, quad)
-    w_want, objective_want, optimal_want, _ = oracle.weighted_l1_lp(
+    assert got.rounds == 1
+    assert_same_lp(got, oracle.weighted_l1_lp(design, target, quad))
+    w_eq, objective_eq, optimal_eq, _ = oracle.weighted_l1_lp_equality(
         design, target, quad)
-    assert got.rounds == 2
-    assert got[2] and optimal_want
-    assert np.max(np.abs(got[0] - w_want)) <= 1.5e-6
-    assert got[1] <= objective_want
+    assert got[2] and optimal_eq
+    assert np.max(np.abs(got[0] - w_eq)) <= 1.5e-6
+    assert got[1] <= objective_eq
     _, objective_ineq, _, _ = oracle.weighted_l1_lp_inequality(
         design, target, quad)
     assert got[1] == pytest.approx(objective_ineq, rel=1e-9)
 
 
-def test_simplex_row_miss_is_solved_again_unscaled():
-    # HiGHS reports this draw optimal with weights summing to 1 - 3.9e-6
-    # under its scaling; the unscaled run from that basis hits the row.
-    design, target, quad = random_lp(2447411248)
-    with highs_runs() as runs:
-        w, objective, optimal, _ = weighted_l1_lp(design, target, quad)
-    assert len(runs) == 2
-    raw = np.array(runs[-1][2].col_value[:design.shape[1]])
-    assert abs(raw.sum() - 1.0) <= SIMPLEX_ROW_TOL
-    assert optimal
-    _, objective_ineq, _, _ = oracle.weighted_l1_lp_inequality(
-        design, target, quad)
-    assert objective == pytest.approx(objective_ineq, rel=1e-9)
-
-
 def test_simplex_row_miss_warns():
-    # A miss the unscaled run does not mend: every read of the atom
-    # weights comes back 1e-5 heavy.
+    # No draw misses the simplex row: over 22,000 random_lp draws the
+    # dual form's weights sum to 1 within 6.5e-10.  Here every read of the
+    # row duals comes back 1e-5 heavy.
     design, target, quad = random_lp(2447411248)
 
     def heavy(solution):
-        solution.col_value = np.asarray(solution.col_value) * (1 + 1e-5)
+        solution.row_dual = np.asarray(solution.row_dual) * (1 + 1e-5)
         return solution
 
     with highs_runs(heavy) as runs, \
             pytest.warns(ProjectionWarning, match="off the simplex row by"):
         w, _, optimal, _ = weighted_l1_lp(design, target, quad)
-    assert len(runs) == 2
+    assert len(runs) == 1
     assert optimal
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-# The oracle's dual simplex stops without a solution on this draw.
+# The primal equality form's dual simplex stops without a solution on this
+# draw.
 @example(seed=41223)
-def test_column_generation_is_optimal_over_all_atoms(seed):
+def test_row_generation_is_optimal_over_all_atoms(seed):
     design, target, quad = wide_lp(seed)
     with highs_runs() as runs:
         got = weighted_l1_lp(design, target, quad)
     assert got[2]
     assert got.rounds == len(runs) >= 2
-    assert got[3] == sum(iterations for _, iterations, _ in runs)
-    # No atom prices in under the final duals.  The atoms with weight are
-    # basic, so their reduced cost is zero but for the duals' rounding
-    # (up to 4.2e-8 in 3,000 draws); every atom is allowed that much.
-    reduced = reduced_costs(design, runs[-1][2].row_dual)
-    rounding = np.abs(reduced[got[0] > 0]).max()
+    assert got.atoms == len(runs[-1][2].row_dual) < design.shape[1]
+    assert got[3] == sum(run[1] for run in runs)
+    # No atom's row is violated under the final (y, z).  The rows of the
+    # atoms with weight are tight, so their violation is zero but for
+    # rounding (up to 2e-9 in 300 draws); every atom is allowed that much.
+    violation = row_violations(design, runs[-1][2].col_value)
+    rounding = np.abs(violation[got[0] > 0]).max()
     assert rounding <= 1e-6
-    assert reduced.min() >= -LP_FEASIBILITY_TOL - rounding
+    assert violation.max() <= LP_FEASIBILITY_TOL + rounding
     # The one-shot solve may need more than the default 5000 iterations.
-    # Each solve is optimal only to the dual tolerance, so the objectives
-    # may differ by a fraction of it: 5.8e-10 at most in 1,200 draws.
+    # Each solve is optimal only to the feasibility tolerance, so the
+    # objectives may differ by a fraction of it: 9.5e-11 relative at most
+    # in 300 draws.
     _, objective, optimal, _ = oracle.weighted_l1_lp(
         design, target, quad, maxiter=100_000)
     assert optimal
@@ -273,7 +299,7 @@ def test_iteration_cap_bounds_the_total_over_rounds():
                                              match="no solution"):
         weighted_l1_lp(design, target, quad, maxiter=first + 1)
     assert runs[0][:2] == (demix.measures.HighsModelStatus.kOptimal, first)
-    assert sum(iterations for _, iterations, _ in runs) == first + 1
+    assert sum(run[1] for run in runs) == first + 1
 
 
 def test_lp_matches_oracle_on_mixture_problem():
@@ -294,6 +320,8 @@ def test_lp_matches_oracle_on_mixture_problem():
     assert got.rounds > 1
     assert_equivalent_lp(got,
                          oracle.weighted_l1_lp(design, p_hat.values, quad))
+    assert_equivalent_lp(got, oracle.weighted_l1_lp_equality(
+        design, p_hat.values, quad))
     w_ineq, objective_ineq, optimal_ineq, _ = \
         oracle.weighted_l1_lp_inequality(design, p_hat.values, quad)
     assert optimal_ineq

@@ -1,21 +1,21 @@
 """Reference forms of the projection LP and the equal-weight box KDE.
 
 Kept out of the library as oracles for the optimized paths.  The LP here
-hands HiGHS the whole dense design, every entry included, in the
-equality form the library solves, in one ``linprog`` call over every
-atom; the inequality form the library solved before is kept beside it.
-The KDE sorts its samples with a stable argsort and two gathers.  The
-library leaves out only matrix entries HiGHS ignores and sorts
-equal-weight samples with ``np.sort``, so results must agree bit for bit
-with the KDE here, and with ``weighted_l1_lp`` wherever it solves in one
-HiGHS run.
+hands HiGHS the whole dense design, every entry included, in the dual
+form the library solves, in one ``linprog`` call over every atom, and
+reads the atom weights off the ``A_ub`` marginals; the primal equality
+and inequality forms the library solved before are kept beside it.  The
+KDE sorts its samples with a stable argsort and two gathers.  The library
+leaves out only matrix entries HiGHS ignores and sorts equal-weight
+samples with ``np.sort``, so results must agree bit for bit with the KDE
+here, and with ``weighted_l1_lp`` wherever it solves in one HiGHS run.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, hstack, identity, vstack
 
-from demix.measures import GridDensity, WEIGHT_TOL
+from demix.measures import LP_FEASIBILITY_TOL, GridDensity, WEIGHT_TOL
 
 
 def _solve(cost, n_atoms, design, target, quad_weights, tol, maxiter,
@@ -33,15 +33,41 @@ def _solve(cost, n_atoms, design, target, quad_weights, tol, maxiter,
         res = linprog(cost, **constraints, bounds=(0, None),
                       method="highs-ipm", options=options)
     assert res.x is not None, res.message
-    w = np.maximum(res.x[:n_atoms], 0.0)
-    total = w.sum()
-    if total > 0:
-        w = w / total
-    objective = float(quad_weights @ np.abs(design @ w - target))
+    w, objective = _weights(np.maximum(res.x[:n_atoms], 0.0), design, target,
+                            quad_weights)
     return w, objective, res.status == 0, int(res.nit)
 
 
-def weighted_l1_lp(design, target, quad_weights, tol=1e-8, maxiter=5000):
+def _weights(w, design, target, quad_weights):
+    total = w.sum()
+    if total > 0:
+        w = w / total
+    return w, float(quad_weights @ np.abs(design @ w - target))
+
+
+def weighted_l1_lp(design, target, quad_weights, tol=LP_FEASIBILITY_TOL,
+                   maxiter=5000):
+    """Untrimmed dual form: ``target @ y + z`` at its largest subject to
+    ``[design.T | 1] @ (y, z) <= 0`` and ``|y| <= quad_weights``; the
+    atom weights are minus the marginals of those rows."""
+    n_grid, n_atoms = design.shape
+    a_ub = hstack([csr_matrix(design.T), np.ones((n_atoms, 1))],
+                  format="csc")
+    bounds = np.column_stack([np.append(-quad_weights, -np.inf),
+                              np.append(quad_weights, np.inf)])
+    res = linprog(-np.append(target, 1.0), A_ub=a_ub, b_ub=np.zeros(n_atoms),
+                  bounds=bounds, method="highs",
+                  options={"maxiter": int(maxiter),
+                           "primal_feasibility_tolerance": float(tol),
+                           "dual_feasibility_tolerance": float(tol)})
+    assert res.x is not None, res.message
+    w, objective = _weights(np.maximum(-res.ineqlin.marginals, 0.0),
+                            design, target, quad_weights)
+    return w, objective, res.status == 0, int(res.nit)
+
+
+def weighted_l1_lp_equality(design, target, quad_weights, tol=1e-8,
+                            maxiter=5000):
     """Untrimmed equality form, ``[design, -I, I] @ (w, u, v) = target``
     and ``sum(w) = 1``; for problems HiGHS solves (``res.x`` present)."""
     n_grid, n_atoms = design.shape
