@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import PipelineError
 from .kde import BandwidthSchedule
-from .measures import GridSpec, l1_distance, wasserstein1
+from .measures import GridSpec, l1_distance, require_int, wasserstein1
 from .mixfit import MixtureFit, fit_vanilla_mixture
 from .regfit import (RegressionFit, evaluate_regression_fit,
                      find_separation_point, fit_mixed_regression)
@@ -576,8 +576,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     threads = getattr(args, "threads", 1)
     try:
-        if threads < 1:
-            raise ValueError("--threads must be at least 1")
+        require_int(threads, "--threads", least=1)
         if args.command == "demo-nonident":
             out = args.out
             if not out:
@@ -585,8 +584,7 @@ def main(argv=None) -> int:
             os.makedirs(out, exist_ok=True)
             seeds = (_parse_seeds(args.seeds, "--seeds")
                      if args.seeds is not None else tuple(range(10)))
-            if args.n < 1:
-                raise ValueError("--n must be at least 1")
+            require_int(args.n, "--n", least=1)
             from . import demos
             demo = {"equal_weights_regression": demos.equal_weights,
                     "near_nonregular_mixture": demos.near_nonregular}

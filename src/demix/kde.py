@@ -17,8 +17,9 @@ import warnings
 import numpy as np
 
 from .errors import EmptyWindowError
-from .measures import (GridDensity, GridSpec, _sorted_box_mixture_density,
-                       require_finite, require_positive_finite)
+from .measures import (GridDensity, GridSpec, _as_finite_1d,
+                       _sorted_box_mixture_density, require_finite, require_int,
+                       require_positive_finite)
 from .synth import Dataset, _KindBlock
 
 
@@ -59,8 +60,7 @@ class BandwidthSchedule(_KindBlock):
         return cls._build("power_law", {"c": c, "exponent": exponent})
 
     def bandwidth(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("n must be at least 1")
+        n = require_int(n, "n", least=1)
         if self.kind == "fixed":
             return self.args["value"]
         return self.args["c"] * float(n) ** self.args["exponent"]
@@ -157,11 +157,9 @@ def conditional_density_at(kde: ConditionalKde, x: float,
 
 def univariate_kde(samples, h: float, grid: GridSpec) -> GridDensity:
     """Box-kernel density estimate of a plain sample."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("samples must be a nonempty vector")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
+    samples = _as_finite_1d(samples, "samples")
     require_positive_finite(h, "bandwidth")
-    weights = np.full(samples.size, 1.0 / samples.size)
+    # Equal weights as one value seen through a zero stride: the cumulative
+    # sums read the same numbers as from a filled array, without its n floats.
+    weights = np.broadcast_to(1.0 / samples.size, samples.size)
     return _sorted_box_mixture_density(np.sort(samples), weights, h, grid)

@@ -64,29 +64,36 @@ def _as_finite_1d(values, name: str) -> np.ndarray:
     return arr
 
 
-def require_positive_finite(value, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real
-    number (a numpy number counts, a bool or text does not) with
-    0 < value < inf."""
+def require_positive_finite(value, name: str) -> float:
+    """``value`` as a ``float``; raise ``ValueError`` naming ``name``
+    unless it is a real number (a numpy number counts, a bool or text
+    does not) with 0 < value < inf."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not 0 < value < math.inf):  # NaN fails every comparison
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
-def require_finite(value, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite
-    real number (a numpy number counts, a bool or text does not)."""
+def require_finite(value, name: str) -> float:
+    """``value`` as a ``float``; raise ``ValueError`` naming ``name``
+    unless it is a finite real number (a numpy number counts, a bool or
+    text does not)."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def require_int(value, name: str) -> int:
-    """``value`` as an ``int``; raise ``ValueError`` naming ``name`` unless
-    it is an integer (a numpy integer counts, a bool does not)."""
+def require_int(value, name: str, least: int | None = None) -> int:
+    """``value`` as an ``int``; raise ``ValueError`` naming ``name``
+    unless it is an integer (a numpy integer counts, a bool does not) of
+    at least ``least``, when that is given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -108,12 +115,13 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("grid endpoints must be finite")
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name,
+                               require_finite(getattr(self, name), name))
+        object.__setattr__(self, "n_points",
+                           require_int(self.n_points, "n_points", least=2))
         if not self.lo < self.hi:
             raise ValueError("grid requires lo < hi")
-        if self.n_points < 2:
-            raise ValueError("grid requires at least two points")
 
     @property
     def spacing(self) -> float:
@@ -138,7 +146,7 @@ class GridDensity:
     def __init__(self, lo, hi, values, *, normalized=False,
                  norm_tol=GRID_NORM_TOL):
         vals = _as_finite_1d(values, "values")
-        self._spec = GridSpec(float(lo), float(hi), vals.size)
+        self._spec = GridSpec(lo, hi, vals.size)
         if np.any(vals < 0):
             raise ValueError("density values must be nonnegative")
         self._values = _frozen(vals)

@@ -84,14 +84,12 @@ class ProjectionConfig:
         if self.L is not None:
             object.__setattr__(self, "L", require_int(self.L, "L"))
         object.__setattr__(self, "max_iters",
-                           require_int(self.max_iters, "max_iters"))
+                           require_int(self.max_iters, "max_iters", least=1))
         if self.L is not None and not 1 <= self.L <= MAX_ATOMS:
             raise ValueError(f"L={self.L} must lie between 1 and the limit "
                              f"of {MAX_ATOMS} (2**16) projection atoms")
         if self.M is not None:
             require_positive_finite(self.M, "M")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -273,9 +271,7 @@ def threshold_partition(g_smooth: GridDensity, t: float,
     between consecutive intervals (leftmost first on exact ties).
     """
     require_positive_finite(t, "threshold")
-    k = require_int(k, "k")
-    if k < 1:
-        raise ValueError("K must be at least 1")
+    k = require_int(k, "k", least=1)
     above = g_smooth.values > t
     if not np.any(above):
         raise ThresholdTooHighError(
@@ -378,9 +374,7 @@ def fit_mixture_from_density(p_hat: GridDensity, k: int, sigma: float,
     ``n_hint`` stands in for the sample size behind ``p_hat`` when the
     atom count L is left to its default ceil(sqrt(n)).
     """
-    k = require_int(k, "k")
-    if k < 1:
-        raise ValueError("K must be at least 1")
+    k = require_int(k, "k", least=1)
     require_positive_finite(sigma, "sigma")
     cfg = cfg or ProjectionConfig()
     denoise = denoise or DenoiseConfig()
@@ -456,9 +450,7 @@ def fit_vanilla_mixture(samples, k: int, sigma: float,
     if samples.ndim != 1:
         raise ValueError("samples must be a vector")
     n = samples.size
-    k = require_int(k, "k")
-    if k < 1:
-        raise ValueError("K must be at least 1")
+    k = require_int(k, "k", least=1)
     if n < 10 * k:
         raise InsufficientDataError(
             f"need at least 10 K = {10 * k} samples, got {n}"

@@ -104,13 +104,9 @@ class MdeConfig:
     def __post_init__(self):
         if self.B is not None:
             require_positive_finite(self.B, "B")
-        for name in ("coarse_grid", "refine_levels"):
-            object.__setattr__(self, name,
-                               require_int(getattr(self, name), name))
-        if self.coarse_grid < 3:
-            raise ValueError("coarse_grid must be at least 3")
-        if self.refine_levels < 0:
-            raise ValueError("refine_levels must be nonnegative")
+        for name, least in (("coarse_grid", 3), ("refine_levels", 0)):
+            object.__setattr__(self, name, require_int(getattr(self, name),
+                                                       name, least))
         if self.resolution() < MDE_MIN_RESOLUTION:
             raise ValueError(
                 f"refine_levels={self.refine_levels} with coarse_grid="
@@ -389,7 +385,7 @@ class MdeContext:
         keep = table <= peak * (w0 + slack)
         keep[first] = True
         return _sweep_screened(target, self.quad, self.banks0, self.axes0,
-                               keep, buffers=self.row_buffers(self.banks0))
+                               keep, {}, self.row_buffers(self.banks0))
 
     def sweep_refinement(self, target: np.ndarray, level: int, theta):
         """Refinement level ``level`` around the incumbent ``theta``: what
@@ -521,10 +517,10 @@ def _row_objectives(target, quad, banks, combo, buffers, span=None):
     return objs
 
 
-def _sweep_screened(target, quad, banks, axes, keep, known=None,
-                    buffers=None):
+def _sweep_screened(target, quad, banks, axes, keep, known, buffers):
     """``_sweep_full_grid`` over the rows that hold a candidate ``keep``
-    marks, and the rows of ``known``, taken as they are.
+    marks, and the rows of ``known``, taken as they are.  The other rows
+    are evaluated in ``buffers``, one set of ``_row_buffers``.
 
     Each other row is evaluated only over the span from its first kept
     candidate to its last.  Its candidates outside the span read +inf, so
@@ -535,11 +531,10 @@ def _sweep_screened(target, quad, banks, axes, keep, known=None,
     lo = keep.argmax(axis=-1)
     hi = n - keep[..., ::-1].argmax(axis=-1)
     swept = keep.any(axis=-1)
-    objs = dict(known or {})
+    objs = dict(known)
     for combo in objs:
         swept[combo] = True
     combos = list(map(tuple, np.argwhere(swept).tolist()))
-    buffers = buffers or _row_buffers(target, banks)
     for combo in combos:
         if combo not in objs:
             objs[combo] = _row_objectives(
@@ -627,9 +622,7 @@ def find_separation_point(data: Dataset, k: int, window: float,
     and the full (x, score) profile; windows with fewer than 5 K points
     score minus infinity.
     """
-    k = require_int(k, "k")
-    if k < 1:
-        raise ValueError("K must be at least 1")
+    k = require_int(k, "k", least=1)
     require_positive_finite(window, "window")
     _require_domain(a, b)
     a = float(data.x.min()) if a is None else float(a)
@@ -729,12 +722,8 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     from their neighbors and flagged.
     """
     n = len(data)
-    k = require_int(k, "k")
-    if k < 1:
-        raise ValueError("K must be at least 1")
-    n_x_grid = require_int(n_x_grid, "n_x_grid")
-    if n_x_grid < 1:
-        raise ValueError(f"n_x_grid must be at least 1, got {n_x_grid}")
+    k = require_int(k, "k", least=1)
+    n_x_grid = require_int(n_x_grid, "n_x_grid", least=1)
     if n < 50 * k:
         raise InsufficientDataError(
             f"need at least 50 K = {50 * k} samples, got {n}"

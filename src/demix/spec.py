@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 from .kde import BandwidthSchedule
-from .measures import require_finite
+from .measures import require_finite, require_int, require_positive_finite
 from .mixfit import DenoiseConfig, ProjectionConfig
 from .regfit import X_GRID_POINTS, MdeConfig
 from .synth import MixedRegressionModel, VanillaMixtureModel
@@ -138,14 +137,11 @@ class ExperimentSpec:
         if not n or min(n) < 1 or len(set(n)) != len(n):
             raise ValueError(f"n must hold one or more distinct positive "
                              f"sample sizes, got {list(n)!r}")
-        if self.n_x_grid < 1:
-            raise ValueError(f"n_x_grid must be a positive integer, "
-                             f"got {self.n_x_grid!r}")
+        require_int(self.n_x_grid, "n_x_grid", least=1)
         if self.x0 is not None:
             require_finite(self.x0, "x0")
-        if self.window is not None and not 0 < self.window < math.inf:
-            raise ValueError(f"window must be a positive number, "
-                             f"got {self.window!r}")
+        if self.window is not None:
+            require_positive_finite(self.window, "window")
 
     @property
     def kind(self) -> str:

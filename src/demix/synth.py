@@ -20,7 +20,6 @@ are reproducible across platforms.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from .measures import (
     GridDensity,
     GridSpec,
     gaussian_blur_values,
+    require_finite,
     require_int,
     require_positive_finite,
 )
@@ -44,10 +44,15 @@ class SeparationWarning(UserWarning):
 
 
 def _rng_for(seed: int) -> np.random.Generator:
-    seed = require_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seed = require_int(seed, "seed", least=0)
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _finite_tuple(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; ``ValueError`` names the first
+    entry that is not a finite real number, as ``name[i]``."""
+    return tuple(require_finite(v, f"{name}[{i}]")
+                 for i, v in enumerate(values))
 
 
 def _normalized_weights(lambdas) -> tuple[float, ...]:
@@ -127,7 +132,7 @@ class RegressionCurve(_KindBlock):
 
     @classmethod
     def polynomial(cls, coeffs) -> "RegressionCurve":
-        coeffs = tuple(float(c) for c in coeffs)
+        coeffs = _finite_tuple(coeffs, "coeffs")
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
         return cls._build("polynomial", {"coeffs": coeffs})
@@ -143,14 +148,15 @@ class RegressionCurve(_KindBlock):
     @classmethod
     def sinusoid(cls, amplitude, frequency, phase=0.0,
                  offset=0.0) -> "RegressionCurve":
-        return cls._build("sinusoid", {
-            "amplitude": float(amplitude), "frequency": float(frequency),
-            "phase": float(phase), "offset": float(offset)})
+        args = {"amplitude": amplitude, "frequency": frequency,
+                "phase": phase, "offset": offset}
+        return cls._build("sinusoid", {name: require_finite(value, name)
+                                       for name, value in args.items()})
 
     @classmethod
     def piecewise_linear(cls, xs, ys) -> "RegressionCurve":
-        xs = tuple(float(v) for v in xs)
-        ys = tuple(float(v) for v in ys)
+        xs = _finite_tuple(xs, "xs")
+        ys = _finite_tuple(ys, "ys")
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("piecewise_linear needs matching knot vectors")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -237,8 +243,11 @@ class MixingSpec(_KindBlock):
 
     @classmethod
     def uniform_mixture(cls, components) -> "MixingSpec":
-        comps = tuple(((float(lo), float(hi)), float(w))
-                      for (lo, hi), w in components)
+        comps = tuple(
+            ((require_finite(lo, f"components[{i}][0][0]"),
+              require_finite(hi, f"components[{i}][0][1]")),
+             require_positive_finite(w, f"components[{i}][1]"))
+            for i, ((lo, hi), w) in enumerate(components))
         if not comps:
             raise ValueError("uniform_mixture needs at least one component")
         los = np.array([c[0][0] for c in comps], dtype=float)
@@ -246,8 +255,6 @@ class MixingSpec(_KindBlock):
         wts = np.array([c[1] for c in comps], dtype=float)
         if np.any(his <= los):
             raise ValueError("uniform components need lo < hi")
-        if np.any(wts <= 0):
-            raise ValueError("uniform component weights must be positive")
         wts = wts / wts.sum()
         mean = float(np.dot(wts, 0.5 * (los + his)))
         los -= mean
@@ -266,15 +273,10 @@ class MixingSpec(_KindBlock):
     @classmethod
     def truncated_smooth(cls, q_mean, q_sigma, scale,
                          resolution=2001) -> "MixingSpec":
-        if not isinstance(resolution, numbers.Integral):
-            raise ValueError(f"truncated_smooth resolution must be an "
-                             f"integer, got {resolution!r}")
-        q_mean, q_sigma, scale = float(q_mean), float(q_sigma), float(scale)
-        resolution = int(resolution)
-        if q_sigma <= 0 or scale <= 0:
-            raise ValueError("truncated_smooth needs positive q_sigma, scale")
-        if resolution < 3:
-            raise ValueError("truncated_smooth needs resolution >= 3")
+        q_mean = require_finite(q_mean, "q_mean")
+        q_sigma = require_positive_finite(q_sigma, "q_sigma")
+        scale = require_positive_finite(scale, "scale")
+        resolution = require_int(resolution, "resolution", least=3)
         half = 2.0 * scale
         # Midpoint cells over the taper support.
         edges = np.linspace(-half, half, resolution + 1)
@@ -376,6 +378,8 @@ class MixedRegressionModel:
     p_x: CovariateSpec = field(default_factory=CovariateSpec.uniform)
 
     def __post_init__(self):
+        for name in ("a", "b", "x0"):
+            require_finite(getattr(self, name), name)
         if not self.a < self.b:
             raise ValueError("domain requires a < b")
         object.__setattr__(self, "lambdas", _normalized_weights(self.lambdas))
@@ -452,8 +456,7 @@ class VanillaMixtureModel:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", _normalized_weights(self.lambdas))
-        object.__setattr__(self, "mus",
-                           tuple(float(v) for v in self.mus))
+        object.__setattr__(self, "mus", _finite_tuple(self.mus, "mus"))
         object.__setattr__(self, "gks", tuple(self.gks))
         if len({len(self.mus), len(self.gks), len(self.lambdas)}) != 1:
             raise ValueError("lambdas, mus, gks must have equal length")
@@ -570,9 +573,7 @@ def _blurred_mixture(grid: GridSpec, sigma: float, parts) -> GridDensity:
 def sample_mixed_regression(model: MixedRegressionModel, n: int,
                             seed: int) -> Dataset:
     """Draw ``n`` pairs from the model, deterministically in ``seed``."""
-    n = require_int(n, "n")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = require_int(n, "n", least=1)
     rng = _rng_for(seed)
     x = model.p_x.sample(rng, n, model.a, model.b)
     comp = rng.choice(model.k, size=n, p=np.asarray(model.lambdas))
@@ -586,9 +587,7 @@ def sample_mixed_regression(model: MixedRegressionModel, n: int,
 def sample_vanilla_mixture(model: VanillaMixtureModel, n: int,
                            seed: int) -> np.ndarray:
     """Draw ``n`` responses from the mixture, deterministically in ``seed``."""
-    n = require_int(n, "n")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = require_int(n, "n", least=1)
     rng = _rng_for(seed)
     comp = rng.choice(model.k, size=n, p=np.asarray(model.lambdas))
     shift = np.zeros(n)

@@ -19,6 +19,8 @@ from demix.measures import (
     convolve_gaussian,
     density_mean,
     l1_distance,
+    require_finite,
+    require_int,
     require_positive_finite,
     wasserstein1,
 )
@@ -415,3 +417,51 @@ def test_positive_finite_rejects_what_is_not_a_real_number(value):
 @pytest.mark.parametrize("value", [0.5, 2, np.float32(0.5), np.int64(2)])
 def test_positive_finite_accepts_numpy_numbers(value):
     require_positive_finite(value, "width")
+
+
+# What a number argument must refuse: NaN, the infinities, bools and text.
+NOT_FINITE_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+    st.text(max_size=8))
+
+
+@pytest.mark.parametrize("check", [require_finite, require_positive_finite])
+@pytest.mark.parametrize("value", [0.5, 2, np.float32(0.5), np.int64(2)])
+def test_number_checks_return_the_value_as_a_float(check, value):
+    out = check(value, "width")
+    assert type(out) is float and out == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(least=st.integers(-5, 5), data=st.data())
+def test_require_int_enforces_its_lower_bound(least, data):
+    below = data.draw(st.integers(least - 10**6, least - 1))
+    with pytest.raises(ValueError, match=f"^width must be at least {least}, "
+                                         f"got {below}$"):
+        require_int(below, "width", least)
+    ok = data.draw(st.integers(least, least + 10**6))
+    assert require_int(ok, "width", least) == ok
+    out = require_int(np.int64(least), "width", least)
+    assert type(out) is int and out == least
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(["lo", "hi", "n_points"]), data=st.data())
+def test_grid_spec_names_the_argument_it_rejects(field, data):
+    bad = NOT_FINITE_NUMBERS
+    if field == "n_points":
+        bad = bad | st.floats(2.0, 1e6) | st.integers(max_value=1)
+    args = {"lo": 0.0, "hi": 1.0, "n_points": 5}
+    args[field] = data.draw(bad)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        GridSpec(**args)
+
+
+def test_grid_spec_holds_float_ends_and_an_int_size():
+    spec = GridSpec(-6, np.float32(6.0), np.int64(512))
+    assert [type(v) for v in (spec.lo, spec.hi, spec.n_points)] == [
+        float, float, int]
+    assert spec == GridSpec(-6.0, 6.0, 512)
+    with pytest.raises(ValueError, match="^n_points must be at least 2, "
+                                         "got 1$"):
+        GridSpec(0.0, 1.0, 1)

@@ -1,12 +1,22 @@
 """Tests for ground-truth models, samplers, and density oracles."""
 
+import contextlib
+import io
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import demix.cli as cli
-from demix.measures import GridSpec, wasserstein1
+from demix.kde import BandwidthSchedule
+from demix.measures import GridDensity, GridSpec, wasserstein1
+from demix.mixfit import (ProjectionConfig, fit_mixture_from_density,
+                          fit_vanilla_mixture, threshold_partition)
+from demix.regfit import MdeConfig, find_separation_point, fit_mixed_regression
+from demix.spec import ExperimentSpec
 from demix.synth import (
     CovariateSpec,
     Dataset,
@@ -432,3 +442,115 @@ def test_samplers_check_n_and_seed(n, seed, named):
                           (sample_vanilla_mixture, two_bump_mixture())):
         with pytest.raises(ValueError, match=f"^{named} must be"):
             sample(model, n, seed)
+
+
+# ---------------------------------------------------------------------------
+# argument checks over generated inputs
+# ---------------------------------------------------------------------------
+
+# What a number argument must refuse: NaN, the infinities, bools and text.
+NOT_FINITE_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+    st.text(max_size=8))
+
+
+def _vanilla(mus):
+    g = MixingSpec.point_mass()
+    return VanillaMixtureModel(lambdas=(0.5, 0.5), mus=mus, sigma=0.25,
+                               gks=(g, g))
+
+
+def _experiment(**fields):
+    return ExperimentSpec(model=crossing_lines_model(), n_values=(100,),
+                          seeds=(0,), **fields)
+
+
+# (the name a message starts with, a call passing the value to check)
+NUMBER_ARGUMENTS = [
+    ("coeffs", lambda v: RegressionCurve.polynomial([0.5, v])),
+    ("amplitude", lambda v: RegressionCurve.sinusoid(v, 1.0)),
+    ("frequency", lambda v: RegressionCurve.sinusoid(1.0, v)),
+    ("phase", lambda v: RegressionCurve.sinusoid(1.0, 1.0, phase=v)),
+    ("offset", lambda v: RegressionCurve.sinusoid(1.0, 1.0, offset=v)),
+    ("xs", lambda v: RegressionCurve.piecewise_linear([0.0, v], [0.0, 1.0])),
+    ("ys", lambda v: RegressionCurve.piecewise_linear([0.0, 1.0], [v, 1.0])),
+    ("components", lambda v: MixingSpec.uniform_mixture([((v, 1.0), 1.0)])),
+    ("components", lambda v: MixingSpec.uniform_mixture([((0.0, v), 1.0)])),
+    ("components", lambda v: MixingSpec.uniform_mixture([((0.0, 1.0), v)])),
+    ("q_mean", lambda v: MixingSpec.truncated_smooth(v, 1.0, 1.0)),
+    ("q_sigma", lambda v: MixingSpec.truncated_smooth(0.0, v, 1.0)),
+    ("scale", lambda v: MixingSpec.truncated_smooth(0.0, 1.0, v)),
+    ("resolution", lambda v: MixingSpec.truncated_smooth(0.0, 1.0, 1.0, v)),
+    ("mus", lambda v: _vanilla((v, 2.5))),
+    ("mus", lambda v: _vanilla((-2.5, v))),
+    ("a", lambda v: crossing_lines_model(a=v)),
+    ("b", lambda v: crossing_lines_model(b=v)),
+    ("x0", lambda v: crossing_lines_model(x0=v)),
+    ("window", lambda v: _experiment(window=v)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argument=st.sampled_from(NUMBER_ARGUMENTS), value=NOT_FINITE_NUMBERS)
+def test_constructors_name_the_number_they_reject(argument, value):
+    name, build = argument
+    with pytest.raises(ValueError) as exc:
+        build(value)
+    assert str(exc.value).startswith(name), exc.value
+
+
+def _cli(*argv):
+    """Run ``demix`` on ``argv``; an exit 2 raises the ``ValueError`` its
+    ``error:`` line reports."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    if code == 2 and err.getvalue().startswith("error: "):
+        raise ValueError(err.getvalue()[len("error: "):].strip())
+
+
+def _demo(n):
+    with tempfile.TemporaryDirectory() as out:
+        _cli("demo-nonident", "equal_weights_regression", "--out", out,
+             "--n", str(n))
+
+
+DENSITY = GridDensity(-1.0, 1.0, [0.0, 1.0, 0.0])
+PAIRS = sample_mixed_regression(crossing_lines_model(), 200, 0)
+RESPONSES = sample_vanilla_mixture(two_bump_mixture(), 200, 0)
+
+# (the count's name, its least value, a call passing the value to check)
+COUNT_ARGUMENTS = [
+    ("k", 1, lambda v: threshold_partition(DENSITY, 0.1, v)),
+    ("k", 1, lambda v: fit_mixture_from_density(DENSITY, v, 0.25)),
+    ("k", 1, lambda v: fit_vanilla_mixture(RESPONSES, v, 0.25)),
+    ("k", 1, lambda v: find_separation_point(PAIRS, v, 0.1)),
+    ("k", 1, lambda v: fit_mixed_regression(PAIRS, v, 0.2)),
+    ("n_x_grid", 1, lambda v: fit_mixed_regression(PAIRS, 2, 0.2,
+                                                   n_x_grid=v)),
+    ("max_iters", 1, lambda v: ProjectionConfig(max_iters=v)),
+    ("coarse_grid", 3, lambda v: MdeConfig(coarse_grid=v)),
+    ("refine_levels", 0, lambda v: MdeConfig(refine_levels=v)),
+    ("seed", 0, lambda v: sample_mixed_regression(crossing_lines_model(),
+                                                  10, v)),
+    ("seed", 0, lambda v: sample_vanilla_mixture(two_bump_mixture(), 10, v)),
+    ("n", 1, lambda v: sample_mixed_regression(crossing_lines_model(), v, 0)),
+    ("n", 1, lambda v: sample_vanilla_mixture(two_bump_mixture(), v, 0)),
+    ("n", 1, lambda v: BandwidthSchedule.power_law().bandwidth(v)),
+    ("resolution", 3, lambda v: MixingSpec.truncated_smooth(0.0, 1.0, 1.0,
+                                                            v)),
+    ("n_points", 2, lambda v: GridSpec(0.0, 1.0, v)),
+    ("n_x_grid", 1, lambda v: _experiment(n_x_grid=v)),
+    ("--threads", 1, lambda v: _cli("simulate", "--threads", str(v))),
+    ("--n", 1, _demo),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argument=st.sampled_from(COUNT_ARGUMENTS), data=st.data())
+def test_counts_below_their_least_value_are_named(argument, data):
+    name, least, build = argument
+    value = data.draw(st.integers(least - 10**6, least - 1))
+    with pytest.raises(ValueError) as exc:
+        build(value)
+    assert str(exc.value) == f"{name} must be at least {least}, got {value}"
