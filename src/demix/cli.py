@@ -125,6 +125,18 @@ def _atomic_write_rows(path: str, header, rows) -> None:
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _check_row_shapes(path: str, lines, width: int) -> None:
+    """Raise ``ValueError`` naming the first data line that is blank or
+    does not hold ``width`` comma-separated values.  ``np.loadtxt`` skips
+    blank lines and takes any column count the rows agree on, so this
+    scan runs whenever it raised or returned another shape."""
+    for number, row in enumerate(lines[1:], start=2):
+        if not row.strip() or row.count(",") != width - 1:
+            raise ValueError(f"{path} line {number}: expected "
+                             f"{width} comma-separated values, "
+                             f"got {row!r}")
+
+
 def _load_dataset(out: str, n: int, seed: int, kind: str):
     """The dataset CSV of (n, seed) as ``_atomic_write_rows`` wrote it, bit
     for bit; ``ValueError`` names the file, and the line, of any fault."""
@@ -139,18 +151,12 @@ def _load_dataset(out: str, n: int, seed: int, kind: str):
         raise ValueError(f"expected header {','.join(header)!r} in {path}")
     if len(lines) == 1:
         raise ValueError(f"no data rows in {path}")
-    # np.loadtxt would skip blank lines and take any column count the rows
-    # agree on.
-    for number, row in enumerate(lines[1:], start=2):
-        if not row.strip() or row.count(",") != len(header) - 1:
-            raise ValueError(f"{path} line {number}: expected "
-                             f"{len(header)} comma-separated values, "
-                             f"got {row!r}")
     try:
         # comments=None: np.loadtxt would drop a line from a "#" on.
         values = np.loadtxt(lines[1:], delimiter=",", comments=None,
                             ndmin=2)
-    except ValueError as exc:  # a value that is not a number
+    except ValueError as exc:
+        _check_row_shapes(path, lines, len(header))
         for number, row in enumerate(lines[1:], start=2):
             try:
                 [float(v) for v in row.split(",")]
@@ -158,6 +164,8 @@ def _load_dataset(out: str, n: int, seed: int, kind: str):
                 raise ValueError(f"{path} line {number}: not a number "
                                  f"in {row!r}") from None
         raise ValueError(f"{path}: {exc}") from None
+    if values.shape != (len(lines) - 1, len(header)):
+        _check_row_shapes(path, lines, len(header))
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise ValueError(f"{path} line {finite.argmin() + 2}: "

@@ -431,8 +431,10 @@ def gaussian_blur_values(locations, weights, sigma: float,
                          points) -> np.ndarray:
     """Evaluate sum_i w_i * phi_sigma(points - a_i) at arbitrary points."""
     require_positive_finite(sigma, "sigma")
-    locations = np.asarray(locations, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    locations = _as_finite_1d(locations, "locations")
+    weights = _as_finite_1d(weights, "weights")
+    if locations.size != weights.size:
+        raise ValueError("locations and weights must have equal length")
     points = np.asarray(points, dtype=float)
     values = np.zeros(points.shape)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
@@ -443,6 +445,28 @@ def gaussian_blur_values(locations, weights, sigma: float,
         z = (points[None, :] - locations[start:start + step, None]) / sigma
         values += weights[start:start + step] @ (norm * np.exp(-0.5 * z * z))
     return values
+
+
+def gaussian_columns(points, atoms, sigma: float) -> np.ndarray:
+    """The C-ordered ``(points.size, atoms.size)`` matrix of
+    ``phi_sigma(points[i] - atoms[j])``: column j is atom j's unit Gaussian.
+
+    Built in place in the one output array, so it holds no temporary of
+    its size.  Bit for bit it equals ``gaussian_blur_values`` of each atom
+    alone with weight 1: the same difference, quotient and exponential,
+    and ``z * z * -0.5`` equals ``-0.5 * z * z`` because scaling by -0.5
+    is exact (where both products fall below the normal range, ``exp``
+    returns 1.0 for either).
+    """
+    require_positive_finite(sigma, "sigma")
+    out = np.subtract.outer(np.asarray(points, dtype=float),
+                            np.asarray(atoms, dtype=float))
+    out /= sigma
+    out *= out
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    return out
 
 
 def convolve_gaussian(g: DiscreteMeasure, sigma: float,

@@ -39,7 +39,8 @@ from .measures import (
     IntervalSet,
     box_mixture_density,
     convolve_gaussian,
-    gaussian_blur_values,
+    gaussian_blur_values,  # noqa: F401 -- a wrap point of perfbench/tracing.py
+    gaussian_columns,
     require_int,
     require_positive_finite,
     weighted_l1_lp,
@@ -231,12 +232,7 @@ def project_to_gaussian_mixture(p_hat: GridDensity, sigma: float,
                          "(the fit pipeline resolves defaults)")
     atoms = np.linspace(-cfg.M, cfg.M, cfg.L) if cfg.L > 1 \
         else np.array([0.0])
-    pts = p_hat.grid
-    design = np.empty((pts.size, atoms.size))
-    for j, a in enumerate(atoms):
-        design[:, j] = gaussian_blur_values(
-            np.array([a]), np.array([1.0]), sigma, pts
-        )
+    design = gaussian_columns(p_hat.grid, atoms, sigma)
     lp = weighted_l1_lp(design, p_hat.values, p_hat.trapezoid_weights(),
                         maxiter=cfg.max_iters)
     w, objective, optimal, iterations = lp

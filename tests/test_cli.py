@@ -937,6 +937,20 @@ MALFORMED_DATASETS = [
      "line 3: not a number"),
     ("trailing_comment", "regression", "x,y\n0.1,0.2#note\n",
      "line 2: not a number"),
+    # np.loadtxt skips these lines and takes a column count every row
+    # shares, so its result's shape is checked too.
+    ("whitespace_line", "regression", "x,y\n0.1,0.2\n  \t\n0.3,0.4\n",
+     "line 3: expected 2 comma-separated values, got '  \\t'"),
+    ("blank_line_middle", "mixture", "y\n0.1\n0.2\n\n0.3\n",
+     "line 4: expected 1 comma-separated values, got ''"),
+    ("three_values_every_row", "regression",
+     "x,y\n0.1,0.2,0.5\n0.3,0.4,0.6\n",
+     "line 2: expected 2 comma-separated values"),
+    ("two_values_every_row", "mixture", "y\n0.1,0.2\n0.3,0.4\n",
+     "line 2: expected 1 comma-separated values"),
+    # A row-shape fault is named before a value that is not a number.
+    ("short_row_after_text", "regression", "x,y\nabc,0.2\n0.3\n",
+     "line 3: expected 2 comma-separated values, got '0.3'"),
 ]
 
 

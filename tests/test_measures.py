@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from demix.measures import (
     box_mixture_density,
     convolve_gaussian,
     density_mean,
+    gaussian_blur_values,
+    gaussian_columns,
     l1_distance,
     require_finite,
     require_int,
@@ -275,6 +278,36 @@ def test_convolve_bimodal_value_at_origin():
 def test_convolve_rejects_bad_sigma():
     with pytest.raises(ValueError):
         convolve_gaussian(DiscreteMeasure.point(0.0), 0.0, GridSpec(-1, 1, 11))
+
+
+@pytest.mark.parametrize("locations, weights, named", [
+    ([0.0, math.nan], [0.5, 0.5], "locations must be finite"),
+    ([0.0, 1.0], [0.5, math.inf], "weights must be finite"),
+    ([0.0, 1.0], [1.0], "equal length"),
+    ([0.0], [0.5, 0.5], "equal length"),
+])
+def test_gaussian_blur_values_names_bad_argument(locations, weights, named):
+    with pytest.raises(ValueError, match=named):
+        gaussian_blur_values(locations, weights, 1.0, np.linspace(-1, 1, 5))
+
+
+@pytest.mark.parametrize("n_points, n_atoms", [(7, 1), (1, 4), (2048, 256)])
+def test_gaussian_columns_is_one_c_ordered_array(n_points, n_atoms):
+    points = np.linspace(-2.0, 2.0, n_points)
+    atoms = np.linspace(-1.0, 1.5, n_atoms)
+    tracemalloc.start()
+    try:
+        design = gaussian_columns(points, atoms, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert design.shape == (n_points, n_atoms)
+    assert design.dtype == np.float64 and design.flags.c_contiguous
+    # Built in place: no temporary of the design's size, so the dense
+    # design at the atom cap stays within its stated memory.
+    assert peak < design.nbytes + 2 ** 18
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_columns(points, atoms, 0.0)
 
 
 def test_convolve_mass_and_mean_preserved():

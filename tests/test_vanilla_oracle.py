@@ -21,13 +21,16 @@ from hypothesis import strategies as st
 from scipy.optimize._highspy._core import HighsBasisStatus
 
 import demix.measures
+import demix.mixfit
 import vanilla_oracle as oracle
 from demix.errors import ProjectionError, ProjectionWarning
 from demix.kde import (BandwidthSchedule, ConditionalKde,
                        conditional_density_at, univariate_kde)
 from demix.measures import (HIGHS_SMALL_MATRIX_VALUE, LP_FEASIBILITY_TOL,
-                            LP_FIRST_ROUND_ATOMS, GridSpec,
-                            gaussian_blur_values, weighted_l1_lp)
+                            LP_FIRST_ROUND_ATOMS, GridDensity, GridSpec,
+                            gaussian_blur_values, gaussian_columns,
+                            weighted_l1_lp)
+from demix.mixfit import ProjectionConfig, project_to_gaussian_mixture
 from demix.synth import (Dataset, MixingSpec, VanillaMixtureModel,
                          sample_vanilla_mixture)
 
@@ -327,6 +330,44 @@ def test_lp_matches_oracle_on_mixture_problem():
     assert optimal_ineq
     assert np.max(np.abs(got[0] - w_ineq)) <= 1e-9
     assert got[1] == pytest.approx(objective_ineq, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_grid=st.integers(2, 300), half_span=st.floats(0.5, 20.0),
+       n_atoms=st.integers(1, 80), m_ratio=st.floats(0.05, 2.0),
+       sigma=st.floats(0.01, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_projection_design_matches_per_atom_loop(n_grid, half_span, n_atoms,
+                                                 m_ratio, sigma, seed):
+    """The broadcast design is the per-atom loop's bit for bit, so the
+    projection solves the very LP the loop-built design gives; an atom
+    range wider than the grid puts atoms off it."""
+    values = np.random.default_rng(seed).random(n_grid) + 1e-3
+    values /= np.trapezoid(values, np.linspace(-half_span, half_span, n_grid))
+    p_hat = GridDensity(-half_span, half_span, values, normalized=True)
+    cfg = ProjectionConfig(L=n_atoms, M=m_ratio * half_span)
+    atoms = (np.linspace(-cfg.M, cfg.M, cfg.L) if cfg.L > 1
+             else np.array([0.0]))
+    loop = gaussian_design(p_hat.grid, atoms, sigma)
+    assert np.array_equal(gaussian_columns(p_hat.grid, atoms, sigma), loop)
+
+    solved = []
+
+    def spy(design, *args, **kwargs):
+        assert np.array_equal(design, loop) and design.flags.c_contiguous
+        solved.append(weighted_l1_lp(design, *args, **kwargs))
+        return solved[-1]
+
+    with mock.patch.object(demix.mixfit, "weighted_l1_lp", spy):
+        got = project_to_gaussian_mixture(p_hat, sigma, cfg)
+    want = weighted_l1_lp(loop, p_hat.values, p_hat.trapezoid_weights(),
+                          maxiter=cfg.max_iters)
+    assert_same_lp(solved[0], want)
+    assert (got.objective, got.converged, got.iterations, got.rounds,
+            got.atoms) == (want[1], want[2], want[3], want.rounds, want.atoms)
+    keep = want[0] > demix.mixfit.ATOM_PRUNE_TOL
+    assert got.measure.locations.tobytes() == atoms[keep].tobytes()
+    assert got.measure.weights.tobytes() == (
+        want[0][keep] / want[0][keep].sum()).tobytes()
 
 
 # ---------------------------------------------------------------------------
