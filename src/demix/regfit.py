@@ -12,14 +12,16 @@ smallest recovered weight and one regression curve.
 The per-x solves are independent and run on one thread pool shared by the
 whole process, with one thread per CPU the process may use; concurrent
 fits submit into the same pool.  What the solves of one fit share (the
-padded grid, the density's level-0 shift bank and its Gram matrix) is
-built once in an ``MdeContext``, whose ``solve`` runs the coarse sweep and
-its refinement levels for one x.  Every level is screened per
-candidate: only the candidates whose lower bound on the L1 objective
-cannot rule them out are evaluated, and the result is the exhaustive
-sweep's, bit for bit.  At level 0 the bound is a candidate's squared L2
-distance to the target, read off the Gram, over a bound on |mixture -
-target|.  A refinement level evaluates the incumbent's row and bounds
+padded grid, a phase table of the density shifted by every multiple of
+one lattice unit, the level-0 shift bank and its Gram matrix) is built
+once in an ``MdeContext``, whose ``solve`` runs the coarse sweep and its
+refinement levels for one x.  Every candidate is snapped to the lattice,
+so its shifted density is a slice of the table, and no interpolation runs
+per x.  Every level is screened per candidate: only the candidates whose
+lower bound on the L1 objective cannot rule them out are evaluated, and
+the result is the exhaustive sweep's, bit for bit.  At level 0 the bound
+is a candidate's squared L2 distance to the target, read off the Gram,
+over a bound on |mixture - target|.  A refinement level evaluates the incumbent's row and bounds
 the rest by L1 duality: for |phi| <= 1, the phi-weighted integral of
 mixture - target is at most the L1 objective, one table per axis.  Every
 estimate is bit-identical to a serial solve, whatever the thread count.
@@ -63,6 +65,12 @@ MDE_MIN_RESOLUTION = 2.0 ** -50
 # 61-point grid: it bounds the L2 table the screen builds (1.8 MB) and
 # the rows the screen may leave to the L1 sweep.
 MDE_MAX_SWEEP = 61 ** 3
+# Least final candidate spacing, in lattice units.
+MDE_PHASE_STEPS = 8
+# Most values of one fit's phase table (32 MB).
+MDE_MAX_TABLE = 2 ** 22
+# Most candidates whose objectives one reduction evaluates.
+MDE_CHUNK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +92,28 @@ class MdeConfig:
     The minimizer the previous level brackets lies within one of its
     spacings of the incumbent, five of this level's, inside the window
     of +-6.  Windows are clipped to [-B, B].  Every level returns the
-    lexicographically smallest minimizer of its full grid of candidates,
-    but evaluates the L1 objective only of the candidates whose lower
-    bound does not rule them out.  Level 0 tabulates that bound for all
-    ``coarse_grid**K`` candidates from their L2 distances.  A refinement
-    level evaluates the incumbent's row and bounds the rest with
-    L1-duality cuts, the signs of mixture - target at a few candidates
-    around the incumbent.  The L2 table may not exceed
-    ``MDE_MAX_SWEEP`` (61**3) entries: ``coarse_grid`` is at most 476 for
-    K = 2, 61 for K = 3, 21 for K = 4 and 11 for K = 5 (see
+    lexicographically smallest minimizer of its full grid of snapped
+    candidates, but evaluates the L1 objective only of the candidates
+    whose lower bound does not rule them out.  Level 0 tabulates that
+    bound for all ``coarse_grid**K`` candidates from their L2 distances.
+    A refinement level evaluates the incumbent's row and bounds the rest
+    with L1-duality cuts, the signs of mixture - target at a few
+    candidates around the incumbent.
+
+    Every level's candidates are snapped to the nearest multiple of the
+    lattice unit ``h / q``, where ``h`` is the response-grid spacing and
+    ``q`` the smallest power of two that puts ``MDE_PHASE_STEPS`` (8)
+    units in the final spacing.  Snapped candidates of one axis stay
+    distinct, lie within 1/16 of the final spacing of their grid values,
+    and may lie up to half a unit outside [-B, B].  Each fit tabulates
+    the density at the ``q`` phases over the padded grid once, ``q * (N +
+    2 M)`` values for ``N`` padded points and ``M = ceil(B / h) + 2``;
+    every candidate's shifted density is then a slice of that table.  The
+    table may not exceed ``MDE_MAX_TABLE`` (2**22) values; past it the
+    context raises ``ValueError`` naming ``B``, ``refine_levels`` and
+    ``coarse_grid`` before it allocates anything.  The L2 table may not
+    exceed ``MDE_MAX_SWEEP`` (61**3) entries: ``coarse_grid`` is at most
+    476 for K = 2, 61 for K = 3, 21 for K = 4 and 11 for K = 5 (see
     ``check_sweep``).  K = 1 is held to the K = 2 limit, since its
     level-0 shift bank holds ``coarse_grid`` copies of the padded grid.
     """
@@ -222,15 +243,6 @@ class RegressionFit:
 # minimum-distance core
 # ---------------------------------------------------------------------------
 
-def _shift_bank(pts: np.ndarray, f_hat: GridDensity, scale: float,
-                offsets: np.ndarray) -> np.ndarray:
-    """Rows of scale * f_hat(pts - offset), linearly interpolated."""
-    bank = np.interp(pts[None, :] - offsets[:, None], f_hat.grid,
-                     f_hat.values, left=0.0, right=0.0)
-    bank *= scale
-    return bank
-
-
 def _axis_candidates(center: float, half: float, b_bound: float,
                      count: int) -> np.ndarray:
     lo = max(center - half, -b_bound)
@@ -238,18 +250,48 @@ def _axis_candidates(center: float, half: float, b_bound: float,
     return np.linspace(lo, hi, count)
 
 
+def _table_shape(grid: GridSpec, cfg: MdeConfig):
+    """Phases ``q`` and grid padding of the phase table an ``MdeContext``
+    builds on ``grid``, or ``ValueError`` when the table would exceed
+    ``MDE_MAX_TABLE`` values.  Nothing is allocated."""
+    spacing = grid.spacing
+    final = cfg.resolution() * cfg.B
+    ratio = MDE_PHASE_STEPS * spacing / final if final > 0 else math.inf
+    phases = 1
+    while phases < min(ratio, 2.0 ** 64):
+        phases *= 2
+    # A float first, since with a huge B the exact width need not fit in
+    # an array or even be finite.
+    cols = grid.n_points + 4.0 * (cfg.B / spacing) + 6.0
+    if phases * cols <= MDE_MAX_TABLE:
+        pad = math.ceil(cfg.B / spacing) + 1
+        cols = grid.n_points + 4 * pad + 2
+        if phases * cols <= MDE_MAX_TABLE:
+            return phases, pad
+    raise ValueError(
+        f"B={cfg.B:g} with refine_levels={cfg.refine_levels} and "
+        f"coarse_grid={cfg.coarse_grid} needs an MDE phase table of "
+        f"{phases:.4g} phases x {cols:.4g} points on a grid of spacing "
+        f"{spacing:.3g}, more than 2**22 values")
+
+
 class MdeContext:
     """What the minimum-distance solves of one fit share, built once.
 
     Holds the response grid padded by B on both sides (so shifts lose no
-    mass) with its trapezoid weights, the level-0 shift bank ``bank0`` of
-    the one error density, its copies ``banks0[j] = lambdas[j] * bank0``,
-    and what the L2 screen needs: the bank's Gram matrix under those
-    weights, the copies' summed peaks and their summed largest row masses.
-    Level 0 sweeps the whole box [-B, B] on every axis, so all of these
-    depend on the grid, weights, density and settings but not on the target.
-    ``solve`` fits one target; it writes nothing here but each thread's
-    own row buffers, so concurrent solves may share one context.
+    mass) with its trapezoid weights, and the phase table: the one error
+    density at ``pts[0] + j h - r h / q`` for the ``q`` phases ``r`` and
+    ``j`` over the padded grid widened by ``M`` points on each side.  A
+    candidate snapped to ``m h / q`` shifts the density by ``s = m // q``
+    grid points and phase ``r = m % q``, so its shifted density is the
+    row slice ``table[r, M - s : M - s + N]``.  Level 0 sweeps the whole
+    box [-B, B] on every axis, so the context also holds its shift bank
+    ``bank0``, the copies ``banks0[j] = lambdas[j] * bank0``, and what
+    the L2 screen needs: the bank's Gram matrix under the weights, the
+    copies' summed peaks and their summed largest row masses.  All of
+    these depend on the grid, weights, density and settings but not on
+    the target.  ``solve`` fits one target and writes nothing here, so
+    concurrent solves may share one context.
     """
 
     def __init__(self, grid: GridSpec, lambdas, f_hat, cfg: MdeConfig):
@@ -265,29 +307,38 @@ class MdeContext:
         if cfg.B is None:
             raise ValueError("MdeConfig.B must be resolved before solving")
         cfg.check_sweep(k)
+        self.phases, self.pad = _table_shape(grid, cfg)
         self.grid = grid
         self.lambdas = lambdas
         self.f_hat = f_hat
         self.cfg = cfg
         spacing = grid.spacing
-        self.pad = int(math.ceil(cfg.B / spacing)) + 1
+        self.unit = spacing / self.phases
         self.pts = np.concatenate([
             grid.lo + spacing * np.arange(-self.pad, 0),
             grid.points(),
             grid.hi + spacing * np.arange(1, self.pad + 1),
         ])
         self.quad = trapezoid_weights(self.pts.size, spacing)
-        axis = _axis_candidates(0.0, cfg.B, cfg.B, cfg.coarse_grid)
+        self.margin = self.pad + 1
+        cols = self.pts[0] + spacing * np.arange(
+            -self.margin, self.pts.size + self.margin)
+        table = np.interp(
+            cols[None, :] - (np.arange(self.phases) * self.unit)[:, None],
+            f_hat.grid, f_hat.values, left=0.0, right=0.0)
+        # rows[r, o] is the view table[r, o : o + N].
+        self._rows = np.lib.stride_tricks.sliding_window_view(
+            table, self.pts.size, axis=1)
+        axis, self.bank0 = self.snap(
+            _axis_candidates(0.0, cfg.B, cfg.B, cfg.coarse_grid))
         self.axes0 = [axis] * k
-        self.bank0 = _shift_bank(self.pts, f_hat, 1.0, axis)
         self.banks0 = [lam * self.bank0 for lam in lambdas]
         self.gram0 = (self.bank0 * self.quad) @ self.bank0.T
         self.peak0 = sum(float(b.max()) for b in self.banks0)
         self.mass0 = sum(float((b @ self.quad).max()) for b in self.banks0)
-        for arr in (self.pts, self.quad, axis, self.bank0, *self.banks0,
-                    self.gram0):
+        for arr in (self.pts, self.quad, table, self.axes0[0], self.bank0,
+                    *self.banks0, self.gram0):
             arr.flags.writeable = False
-        self._scratch = threading.local()
 
     def check_serves(self, p_hat: GridDensity, lambdas, f_hat,
                      cfg: MdeConfig) -> None:
@@ -298,6 +349,28 @@ class MdeContext:
                 or f_hat is not self.f_hat):
             raise ValueError("MdeContext was built for another grid, "
                              "lambdas, f_hat or MdeConfig")
+
+    def snap(self, axis):
+        """The candidates ``axis`` snapped to the nearest multiple of
+        ``unit``, and a fresh array of their shifted densities
+        ``f_hat(pts - candidate)``, one row each, read off the phase
+        table."""
+        steps = np.rint(np.asarray(axis, dtype=float) / self.unit)
+        shift, phase = np.divmod(steps.astype(np.int64), self.phases)
+        # + 0.0 turns a snapped -0.0 into 0.0.
+        return steps * self.unit + 0.0, self._rows[phase, self.margin - shift]
+
+    def grid_banks(self, axes):
+        """Each axis's snapped candidates, and its bank: row i holds
+        ``lambdas[j] * f_hat(pts - c)`` for the axis's i-th snapped
+        candidate c."""
+        snapped, banks = [], []
+        for axis, lam in zip(axes, self.lambdas):
+            values, bank = self.snap(axis)
+            bank *= lam
+            snapped.append(values)
+            banks.append(bank)
+        return snapped, banks
 
     def solve(self, p_hat: GridDensity):
         """``(theta, objective)`` of the minimum-distance fit to ``p_hat``.
@@ -314,16 +387,6 @@ class MdeContext:
             if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
                 theta, best_obj = cand_theta, cand_obj
         return tuple(float(v) for v in theta), float(best_obj)
-
-    def row_buffers(self, banks):
-        """This thread's ``_row_buffers`` for row blocks shaped like
-        ``banks[-1]``, made on first use and reused by every later solve
-        on the thread."""
-        sets = self._scratch.__dict__.setdefault("sets", {})
-        n_rows = banks[-1].shape[0]
-        if n_rows not in sets:
-            sets[n_rows] = _row_buffers(self.pts, banks)
-        return sets[n_rows]
 
     def l2_table(self, target: np.ndarray) -> np.ndarray:
         """``sum(quad * (a - target)**2)`` for the mixture ``a`` of every
@@ -364,33 +427,35 @@ class MdeContext:
         table = self.l2_table(target)
         peak = max(self.peak0, float(target.max()))
         first = np.unravel_index(int(table.argmin()), table.shape)
-        w0 = float(np.abs(_mixture(self.banks0, first) - target) @ self.quad)
+        objs = np.full(table.shape, math.inf)
+        objs[first] = w0 = float(
+            _objectives(target, self.quad, self.banks0, [first])[0])
         # Skipping a candidate is exact when its objective exceeds the
         # optimum by more than the sweep's 1e-12 tie tolerances can chain
         # over n_rows rows: it then changes neither the winner nor the
-        # tie-break.  The rest covers rounding: the L1 sums and the summed
-        # banks add nonnegative terms, and an expanded L2 sum's terms total
-        # at most quad @ (a + target)**2 <= 2 U mass in magnitude, so each
-        # is within a relative gamma of its exact value, and they total at
-        # most w0 + 1, 2 U mass and mass.  gamma covers 2 (n + k*k + k + 4)
-        # roundings; an L2 entry takes n + 1 in a Gram or gemv sum, two in
-        # lambda products, one in the diagonal's difference, k (k + 1) / 2
-        # in the table's sum and two as banks0[j] rounds lambdas[j] * bank0.
-        # Its factor 2 also covers w0 being a dot product where the sweep
-        # takes the same candidate's objective from a gemv.
+        # tie-break.  The rest covers rounding.  An objective sums k bank
+        # rows and then n nonnegative products |a - target| * quad; added
+        # in any order, as the pairwise reduction does, they stay within
+        # a relative (n + 1) eps of the exact sum.  An expanded L2 sum's
+        # terms total at most quad @ (a + target)**2 <= 2 U mass in
+        # magnitude, so each is within a relative gamma of its exact
+        # value, and they total at most w0 + 1, 2 U mass and mass.  gamma
+        # covers 2 (n + k*k + k + 4) roundings; an L2 entry takes n + 1
+        # in a Gram or gemv sum, two in lambda products, one in the
+        # diagonal's difference, k (k + 1) / 2 in the table's sum and two
+        # as banks0[j] rounds lambdas[j] * bank0.
         k = table.ndim
         n_rows = table.size // table.shape[-1]
         mass = self.mass0 + float(target @ self.quad)
         slack = _screen_slack(w0, n_rows, target.size, k, mass)
         keep = table <= peak * (w0 + slack)
-        keep[first] = True
         return _sweep_screened(target, self.quad, self.banks0, self.axes0,
-                               keep, {}, self.row_buffers(self.banks0))
+                               keep, objs)
 
     def sweep_refinement(self, target: np.ndarray, level: int, theta):
         """Refinement level ``level`` around the incumbent ``theta``: what
-        ``_sweep_full_grid`` returns over the level's whole grid, from the
-        candidates that can be its minimiser.
+        ``_sweep_full_grid`` returns over the level's whole snapped grid,
+        from the candidates that can be its minimiser.
 
         The incumbent's row (the candidates nearest ``theta`` on every axis
         but the last) is evaluated in full; its minimum W0 bounds the
@@ -398,17 +463,15 @@ class MdeContext:
         candidate's objective from below, and only the candidates whose
         bound is within ``slack`` of W0 are evaluated.  K = 1 has one row.
         """
-        axes = _refine_axes(self.cfg, level, theta)
-        banks = [_shift_bank(self.pts, self.f_hat, lam, axis)
-                 for lam, axis in zip(self.lambdas, axes)]
+        axes, banks = self.grid_banks(_refine_axes(self.cfg, level, theta))
         if len(axes) == 1:
             return _sweep_full_grid(target, self.quad, banks, axes, [()])
         inc = tuple(int(np.abs(axis - t).argmin())
                     for axis, t in zip(axes, theta))
-        buffers = self.row_buffers(banks)
-        inc_objs = _row_objectives(target, self.quad, banks, inc[:-1],
-                                   buffers).copy()
-        w0 = float(inc_objs.min())
+        objs = np.full(tuple(axis.size for axis in axes), math.inf)
+        objs[inc[:-1]] = _objectives(target, self.quad, banks,
+                                     _row_candidates(inc[:-1], axes))
+        w0 = float(objs[inc[:-1]].min())
         bound, mass = _cut_bounds(target, self.quad, banks, inc)
         # Rounding, with gamma as in _screen_slack: a cut's table entry
         # sums n terms no larger than quad * bank, its target term n no
@@ -424,8 +487,7 @@ class MdeContext:
         slack = _screen_slack(w0, bound.size // bound.shape[-1], target.size,
                               len(axes), mass)
         return _sweep_screened(target, self.quad, banks, axes,
-                               bound <= w0 + slack, {inc[:-1]: inc_objs},
-                               buffers)
+                               bound <= w0 + slack, objs)
 
 
 def _screen_slack(w0, n_rows, n_points, k, mass):
@@ -474,73 +536,62 @@ def _cut_bounds(target, quad, banks, inc):
 
 def _mixture(banks, index):
     """The mixture of the candidate ``index``: its bank rows summed in
-    axis order, as ``_row_objectives`` sums them."""
+    axis order, as ``_objectives`` sums them."""
     mix = banks[0][index[0]].copy()
     for bank, c in zip(banks[1:], index[1:]):
         mix += bank[c]
     return mix
 
 
-def _row_buffers(target, banks):
-    """Scratch for ``_row_objectives``: the summed earlier banks, the
-    row block and its objectives.  The block starts zeroed, since the
-    gemv reads all of it and a span writes only part; reused, it holds
-    finite values of earlier rows, and each gemv output reads only its
-    own row."""
-    return (np.empty(target.size), np.zeros_like(banks[-1]),
-            np.empty(banks[-1].shape[0]))
+def _objectives(target, quad, banks, candidates):
+    """L1 objectives ``sum(|a - target| * quad)`` of ``candidates``, a
+    sequence of index tuples, one position per axis.
 
-
-def _row_objectives(target, quad, banks, combo, buffers, span=None):
-    """Objectives of one row: the candidates ``combo`` on every axis but
-    the last, and each candidate of the last, or only those ``lo <= i <
-    hi`` of ``span = (lo, hi)``; the others read +inf.
-
-    Evaluates ``|(base + bank) - target| @ quad`` in that order, with
-    ``base`` the earlier axes' bank rows summed in axis order, so the
-    result is bit-identical to fresh temporaries.  The gemv stays one
-    call over the whole row block, whatever the span: splitting it into
-    chunks changes its rounding.
+    The mixture a sums the candidate's bank rows in axis order, and each
+    objective is the pairwise sum of its own row, at most ``MDE_CHUNK``
+    rows per reduction.  A candidate's objective thus has the same bits
+    whichever candidates share its reduction.
     """
-    base, rows, objs = buffers
-    base.fill(0.0)
-    for j, c in enumerate(combo):
-        np.add(base, banks[j][c], out=base)
-    lo, hi = span if span is not None else (0, rows.shape[0])
-    block = rows[lo:hi]
-    np.add(base, banks[-1][lo:hi], out=block)
-    np.subtract(block, target, out=block)
-    np.abs(block, out=block)
-    np.matmul(rows, quad, out=objs)
-    objs[:lo] = math.inf
-    objs[hi:] = math.inf
+    candidates = np.asarray(candidates, dtype=np.intp).reshape(
+        -1, len(banks))
+    objs = np.empty(candidates.shape[0])
+    for lo in range(0, objs.size, MDE_CHUNK):
+        part = candidates[lo:lo + MDE_CHUNK]
+        mix = banks[0][part[:, 0]]
+        for j in range(1, len(banks)):
+            mix += banks[j][part[:, j]]
+        mix -= target
+        np.abs(mix, out=mix)
+        mix *= quad
+        np.add.reduce(mix, axis=1, out=objs[lo:lo + part.shape[0]])
     return objs
 
 
-def _sweep_screened(target, quad, banks, axes, keep, known, buffers):
-    """``_sweep_full_grid`` over the rows that hold a candidate ``keep``
-    marks, and the rows of ``known``, taken as they are.  The other rows
-    are evaluated in ``buffers``, one set of ``_row_buffers``.
+def _row_candidates(combo, axes):
+    """The candidates of one row: ``combo`` on every axis but the last,
+    and each candidate of the last."""
+    n = axes[-1].size
+    rows = np.empty((n, len(axes)), dtype=np.intp)
+    rows[:, :-1] = combo
+    rows[:, -1] = np.arange(n)
+    return rows
 
-    Each other row is evaluated only over the span from its first kept
-    candidate to its last.  Its candidates outside the span read +inf, so
+
+def _sweep_screened(target, quad, banks, axes, keep, objs):
+    """``_sweep_full_grid`` over the rows that hold a candidate ``keep``
+    marks or one of ``objs`` already evaluated.
+
+    ``objs`` holds +inf for every candidate not yet evaluated; the ones
+    ``keep`` marks are evaluated into it, and the others stay +inf.  So
     the sweep is exact when every candidate ``keep`` leaves out has an
     objective too large to win or join the winner's tie chain.
     """
-    n = keep.shape[-1]
-    lo = keep.argmax(axis=-1)
-    hi = n - keep[..., ::-1].argmax(axis=-1)
-    swept = keep.any(axis=-1)
-    objs = dict(known)
-    for combo in objs:
-        swept[combo] = True
+    todo = np.argwhere(keep & np.isinf(objs))
+    objs[tuple(todo.T)] = _objectives(target, quad, banks, todo)
+    swept = np.isfinite(objs).any(axis=-1)
     combos = list(map(tuple, np.argwhere(swept).tolist()))
-    for combo in combos:
-        if combo not in objs:
-            objs[combo] = _row_objectives(
-                target, quad, banks, combo, buffers,
-                (int(lo[combo]), int(hi[combo]))).copy()
-    return _sweep_full_grid(target, quad, banks, axes, combos, objs)
+    return _sweep_full_grid(target, quad, banks, axes, combos,
+                            {combo: objs[combo] for combo in combos})
 
 
 def _sweep_full_grid(target, quad, banks, axes, combos, known=None):
@@ -553,14 +604,13 @@ def _sweep_full_grid(target, quad, banks, axes, combos, known=None):
     lexicographically smallest argmin over those rows and its objective:
     earlier candidates win ties through a strict-improvement threshold.
     """
-    buffers = None
     best_obj = math.inf
     best_theta = None
     for combo in combos:
         objs = known.get(combo) if known else None
         if objs is None:
-            buffers = buffers or _row_buffers(target, banks)
-            objs = _row_objectives(target, quad, banks, combo, buffers)
+            objs = _objectives(target, quad, banks,
+                               _row_candidates(combo, axes))
         row_min = float(objs.min())
         tie = 1e-12 * (1.0 + abs(row_min))
         if best_theta is None \
@@ -742,6 +792,10 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     y_abs = float(np.abs(data.y).max())
     y_grid = response_grid(float(data.y.min()), float(data.y.max()), sigma,
                            h)
+    mde_cfg = mde_cfg or MdeConfig()
+    if mde_cfg.B is None:
+        mde_cfg = replace(mde_cfg, B=1.1 * y_abs)
+    _table_shape(y_grid, mde_cfg)  # refuse an oversized table before work
 
     # Not kde.clamp: a boundary x0 is expected here and needs no
     # BoundaryWarning.
@@ -762,9 +816,6 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     f_pooled = GridDensity(f_grid.lo, f_grid.hi, pooled_vals,
                            normalized=True)
 
-    mde_cfg = mde_cfg or MdeConfig()
-    if mde_cfg.B is None:
-        mde_cfg = replace(mde_cfg, B=1.1 * y_abs)
     lambdas = mixture.lambdas_hat
     context = MdeContext(y_grid, lambdas, f_pooled, mde_cfg)
 
@@ -798,6 +849,7 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
         "h": h, "n": n, "B": mde_cfg.B, "n_local_x0": n_local,
         "mde_resolution": mde_cfg.resolution() * mde_cfg.B,
         "mde_candidates": mde_cfg.candidates(),
+        "mde_lattice_unit": context.unit, "mde_phases": context.phases,
     }
     return RegressionFit(
         x_grid=tuple(float(v) for v in xs),

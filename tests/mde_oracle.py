@@ -1,9 +1,10 @@
 """Reference minimum-distance solver: the plain loop form of regfit's sweep.
 
-Kept out of the library as the oracle for the optimized solver.  Every
-bank is built one ``np.interp`` call per offset and every candidate
-combination allocates fresh temporaries, with the same arithmetic in the
-same order as ``demix.regfit``, so results must agree bit for bit.
+Kept out of the library as the oracle for the optimized solver.  The
+phase table is built one ``np.interp`` call per phase, every candidate is
+snapped to the lattice and evaluated alone with fresh temporaries, with
+the same arithmetic in the same order as ``demix.regfit``, so results
+must agree bit for bit.
 """
 
 import itertools
@@ -30,14 +31,39 @@ def extended_target(p_hat, b_bound):
     return pts, target, quad
 
 
-def shift_bank(pts, f_hat, scale, offsets):
-    """Rows of scale * f_hat(pts - offset), one interpolation per row."""
-    bank = np.empty((offsets.size, pts.size))
-    f_pts = f_hat.grid
-    for i, off in enumerate(offsets):
-        bank[i] = np.interp(pts - off, f_pts, f_hat.values,
-                            left=0.0, right=0.0)
-    return bank * scale
+def phase_table(p_hat, f_hat, cfg):
+    """The lattice unit h / q, the table's margin M and the table: row r
+    holds f_hat at pts[0] + j h - r h / q for j over the padded grid
+    widened by M points on each side, one interpolation per row.  q is
+    the smallest power of two that puts 8 units in the final spacing."""
+    spacing = p_hat.spacing
+    ratio = 8 * spacing / (cfg.resolution() * cfg.B)
+    phases = 1
+    while phases < ratio:
+        phases *= 2
+    unit = spacing / phases
+    pts, _, _ = extended_target(p_hat, cfg.B)
+    margin = int(math.ceil(cfg.B / spacing)) + 2
+    cols = pts[0] + spacing * np.arange(-margin, pts.size + margin)
+    table = np.empty((phases, cols.size))
+    for r in range(phases):
+        table[r] = np.interp(cols - r * unit, f_hat.grid, f_hat.values,
+                             left=0.0, right=0.0)
+    return unit, margin, table
+
+
+def snapped_bank(lattice, n_points, scale, axis):
+    """The candidates ``axis`` snapped to the nearest multiple of the
+    lattice unit, and rows of scale * f_hat(pts - candidate) sliced from
+    the phase table."""
+    unit, margin, table = lattice
+    steps = np.rint(axis / unit)
+    bank = np.empty((axis.size, n_points))
+    for i, step in enumerate(steps):
+        shift, phase = divmod(int(step), table.shape[0])
+        start = margin - shift
+        bank[i] = table[phase, start:start + n_points] * scale
+    return steps * unit + 0.0, bank
 
 
 def axis_candidates(center, half, b_bound, count):
@@ -57,19 +83,20 @@ def level_axis(center, half, level, cfg):
     return axis_candidates(center, half, cfg.B, count)
 
 
-def sweep_full_grid(pts, target, quad, f_hats, lambdas, axes):
-    """Lexicographic grid sweep with fresh temporaries per combination."""
-    k = len(axes)
-    banks = [shift_bank(pts, f_hats[j], lambdas[j], axes[j])
-             for j in range(k)]
+def sweep_full_grid(target, quad, banks, axes):
+    """Lexicographic grid sweep, one candidate at a time with fresh
+    temporaries: its bank rows summed in axis order, then the sum of
+    |mixture - target| * quad."""
     best_obj = math.inf
     best_theta = None
-    last_bank = banks[-1]
     for combo in itertools.product(*(range(a.size) for a in axes[:-1])):
-        base = np.zeros(pts.size)
-        for j, c in enumerate(combo):
-            base = base + banks[j][c]
-        objs = np.abs(base[None, :] + last_bank - target[None, :]) @ quad
+        objs = np.empty(axes[-1].size)
+        for i in range(axes[-1].size):
+            index = combo + (i,)
+            mix = banks[0][index[0]].copy()
+            for j in range(1, len(banks)):
+                mix = mix + banks[j][index[j]]
+            objs[i] = np.add.reduce(np.abs(mix - target) * quad)
         row_min = float(objs.min())
         tie = 1e-12 * (1.0 + abs(row_min))
         if best_theta is None \
@@ -86,15 +113,17 @@ def minimize_l1(p_hat, lambdas, f_hats, cfg):
     lambdas = np.asarray(lambdas, dtype=float)
     k = lambdas.size
     pts, target, quad = extended_target(p_hat, cfg.B)
+    tables = {id(f): phase_table(p_hat, f, cfg) for f in f_hats}
     theta = None
     half = cfg.B
     centers = np.zeros(k)
     best_obj = math.inf
     for level in range(cfg.refine_levels + 1):
-        axes = [level_axis(centers[j], half, level, cfg)
-                for j in range(k)]
-        cand_theta, cand_obj = sweep_full_grid(
-            pts, target, quad, f_hats, lambdas, axes)
+        axes, banks = zip(*(
+            snapped_bank(tables[id(f_hats[j])], pts.size, lambdas[j],
+                         level_axis(centers[j], half, level, cfg))
+            for j in range(k)))
+        cand_theta, cand_obj = sweep_full_grid(target, quad, banks, axes)
         if cand_obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
             best_obj = cand_obj
             theta = cand_theta

@@ -10,9 +10,11 @@ in another order and get a tolerance.
 
 import itertools
 import os
+import re
 import signal
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,6 +26,7 @@ import demix.regfit as regfit
 from demix.errors import EmptyWindowError
 from demix.kde import BandwidthSchedule, ConditionalKde
 from demix.measures import GridDensity, GridSpec
+from demix.mixfit import response_grid
 from demix.regfit import (MdeConfig, MdeContext, fit_mixed_regression,
                           mde_at_x)
 from demix.synth import (Dataset, MixedRegressionModel, MixingSpec,
@@ -183,10 +186,9 @@ def test_screened_level0_equals_full_sweep(seed, k, tie):
 
 def full_refinement(ctx, target, level, theta):
     """``_sweep_full_grid`` over every row of refinement level ``level``
-    around ``theta``, on the banks ``sweep_refinement`` builds."""
-    axes = regfit._refine_axes(ctx.cfg, level, theta)
-    banks = [regfit._shift_bank(ctx.pts, ctx.f_hat, lam, axis)
-             for lam, axis in zip(ctx.lambdas, axes)]
+    around ``theta``, on the snapped banks ``sweep_refinement`` takes from
+    the context."""
+    axes, banks = ctx.grid_banks(regfit._refine_axes(ctx.cfg, level, theta))
     return regfit._sweep_full_grid(
         target, ctx.quad, banks, axes,
         itertools.product(*(range(a.size) for a in axes[:-1])))
@@ -215,9 +217,8 @@ def test_screened_refinement_equals_full_sweep(seed, k, tie):
             # candidates and bank, so the orderings of the candidates that
             # built the target tie exactly.
             centers = [(float(rng.uniform(-b_bound, b_bound)),) * k]
-            axis = regfit._refine_axes(ctx.cfg, level, centers[0])[0]
-            bank = regfit._shift_bank(ctx.pts, ctx.f_hat, ctx.lambdas[0],
-                                      axis)
+            (axis,), (bank,) = ctx.grid_banks(
+                regfit._refine_axes(ctx.cfg, level, centers[0])[:1])
             target = sum(bank[c] for c in rng.integers(0, axis.size, k))
         got = [ctx.sweep_refinement(target, level, c) for c in centers]
         for (theta_got, obj_got), center in zip(got, centers):
@@ -241,10 +242,8 @@ def test_cut_bounds_are_below_the_objective(seed, k):
     rng = np.random.default_rng(seed)
     zeros = np.zeros(ctx.pad)
     target = np.concatenate([zeros, p_hat.values, zeros])
-    axes = regfit._refine_axes(ctx.cfg, 1,
-                               rng.uniform(-b_bound, b_bound, size=k))
-    banks = [regfit._shift_bank(ctx.pts, ctx.f_hat, lam, axis)
-             for lam, axis in zip(ctx.lambdas, axes)]
+    axes, banks = ctx.grid_banks(regfit._refine_axes(
+        ctx.cfg, 1, rng.uniform(-b_bound, b_bound, size=k)))
     inc = tuple(int(i) for i in rng.integers(0, 13, size=k))
     bound, mass = regfit._cut_bounds(target, ctx.quad, banks, inc)
     assert bound.shape == (13,) * k
@@ -349,6 +348,165 @@ def test_default_grid_refines_on_the_coarse_lattice():
     # The last level's spacing is still the resolution the config reports.
     assert cfg.resolution() == pytest.approx(2 * 0.2 ** 3 / 60, rel=1e-12)
     assert step == pytest.approx(cfg.resolution() * 1.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# phase table and lattice
+# ---------------------------------------------------------------------------
+
+def crossing_lines_data(n):
+    model = MixedRegressionModel(
+        a=-1.0, b=1.0, lambdas=(0.35, 0.65),
+        m=(RegressionCurve.line(1.0), RegressionCurve.line(-1.0)),
+        sigma=0.2, g0=MixingSpec.point_mass(), x0=1.0)
+    return sample_mixed_regression(model, n, 0)
+
+
+def crossing_lines_grid(n):
+    """The response grid, its kde and a unit-mass bump, as a crossing-lines
+    fit at sample size n builds them."""
+    data = crossing_lines_data(n)
+    kde = ConditionalKde(data, BandwidthSchedule.power_law())
+    y_grid = response_grid(float(data.y.min()), float(data.y.max()), 0.2,
+                           kde.h)
+    spec = GridSpec(-1.0, 1.0, 401)
+    vals = np.exp(-0.5 * (spec.points() / 0.2) ** 2)
+    bump = GridDensity(spec.lo, spec.hi,
+                       vals / np.trapezoid(vals, spec.points()),
+                       normalized=True)
+    return data, kde, y_grid, bump
+
+
+def coarse_for(k):
+    return {1: 61, 2: 31, 3: 9, 4: 5}[k]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 4]))
+def test_table_rows_match_interpolation(seed, k):
+    # A snapped candidate's row is f_hat at pts - theta, up to the rounding
+    # of those coordinates: a few ulps of max |pts| times the steepest
+    # slope of the interpolant, plus a few ulps of max f_hat.
+    p_hat, lambdas, f_hats, b_bound = random_problem(seed, k)
+    f = f_hats[0]
+    cfg = MdeConfig(B=b_bound, coarse_grid=coarse_for(k),
+                    refine_levels=seed % 4)
+    ctx = MdeContext(p_hat.spec(), lambdas, f, cfg)
+    final = cfg.resolution() * b_bound
+    assert ctx.unit == p_hat.spacing / ctx.phases
+    assert final >= 8 * ctx.unit * (1 - 1e-12)
+    assert ctx.phases == 1 or final < 16 * ctx.unit
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate([ctx.axes0[0],
+                             rng.uniform(-b_bound, b_bound, 20)])
+    snapped, rows = ctx.snap(thetas)
+    steps = np.rint(snapped / ctx.unit)
+    assert np.array_equal(steps * ctx.unit, snapped)
+    assert np.abs(snapped - thetas).max() <= 0.5 * ctx.unit * (1 + 1e-9)
+    want = np.interp(ctx.pts[None, :] - snapped[:, None], f.grid, f.values,
+                     left=0.0, right=0.0)
+    eps = np.finfo(float).eps
+    slope = np.abs(np.diff(f.values)).max() / f.spacing
+    reach = np.abs(ctx.pts).max() + b_bound
+    tol = 4 * eps * (slope * reach + f.values.max())
+    assert np.abs(rows - want).max() <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 4]),
+       edge=st.sampled_from([None, -1.0, 1.0]))
+def test_snapped_candidates_stay_distinct_and_close(seed, k, edge):
+    # At every level, clipped windows at +-B included (their spacing can
+    # halve), no axis holds two equal snapped candidates, and each lies
+    # within 1/16 of the final spacing of its unsnapped value.
+    p_hat, lambdas, f_hats, b_bound = random_problem(seed, k)
+    cfg = MdeConfig(B=b_bound, coarse_grid=coarse_for(k))
+    ctx = MdeContext(p_hat.spec(), lambdas, f_hats[0], cfg)
+    final = cfg.resolution() * b_bound
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-b_bound, b_bound, size=k)
+    if edge is not None:
+        centers[rng.integers(0, k)] = edge * b_bound
+    axes = [regfit._axis_candidates(0.0, b_bound, b_bound, cfg.coarse_grid)]
+    for level in range(1, 4):
+        axes += regfit._refine_axes(cfg, level, centers)
+    for axis in axes:
+        snapped, _ = ctx.snap(axis)
+        assert np.all(np.diff(snapped) > 0)
+        assert np.abs(snapped - axis).max() <= final / 16
+
+
+def test_one_solve_stays_within_its_memory_bound():
+    # Building the context and one solve on the n=5e4 crossing-lines grid
+    # hold the phase table (twice while it is built), the level-0 bank and
+    # its K copies, and the scratch of one solve: two 32-candidate chunks,
+    # the refinement banks and the cut tables, within 128 grid rows.
+    _, kde, y_grid, bump = crossing_lines_grid(50_000)
+    cfg = MdeConfig(B=2.0)
+    target = kde.conditional_density_at(0.3, y_grid)
+    tracemalloc.start()
+    try:
+        ctx = MdeContext(y_grid, (0.35, 0.65), bump, cfg)
+        ctx.solve(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = ctx.pts.nbytes
+    table = ctx.phases * (ctx.pts.size + 2 * ctx.margin) * 8
+    assert ctx.phases == 64
+    assert peak <= 2 * table + 3 * ctx.bank0.nbytes + 128 * row
+
+
+@pytest.mark.parametrize("b_bound, grid", [
+    (1e300, GridSpec(-6.0, 6.0, 2048)),
+    (1e15, GridSpec(-6.0, 6.0, 2048)),
+    # The crossing-lines grid spacing, 2.78e-3: a 3.5 GB level-0 bank.
+    (1e4, GridSpec(-2.85, 2.85, 2048)),
+], ids=["1e300", "1e15", "1e4"])
+def test_table_size_is_checked_before_allocating(b_bound, grid):
+    f = GridDensity(-1.0, 1.0, np.full(3, 0.5), normalized=True)
+    p = GridDensity(grid.lo, grid.hi, np.full(grid.n_points, 0.1))
+    cfg = MdeConfig(B=b_bound)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                "^" + re.escape(f"B={b_bound:g} with refine_levels=3 and "
+                                "coarse_grid=61 needs an MDE phase table "
+                                "of 1 phases x ")
+                + r".* more than 2\*\*22 values$")):
+            mde_at_x(p, (0.4, 0.6), f, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_fit_checks_table_size_before_the_mixture_fit(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the mixture fit ran")
+
+    monkeypatch.setattr(regfit, "fit_mixture_from_density", unreachable)
+    data = crossing_lines_data(2000)
+    with pytest.raises(ValueError, match="^B=1e\\+15 with refine_levels=3"):
+        fit_mixed_regression(data, 2, 0.2, mde_cfg=MdeConfig(B=1e15))
+
+
+def test_fit_interpolates_once(monkeypatch):
+    # The phase table is the fit's one interpolation: every x reads its
+    # shifted densities off it.
+    calls = []
+    original = np.interp
+
+    def counting(*args, **kwargs):
+        calls.append(sys._getframe(1).f_globals.get("__name__"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counting)
+    fit = fit_mixed_regression(crossing_lines_data(5000), 2, 0.2,
+                               a=-1.0, b=1.0)
+    monkeypatch.undo()
+    assert not any(fit.interpolated)
+    assert calls.count("demix.regfit") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -178,12 +178,17 @@ def test_mde_recovers_asymmetric_pair():
 
 
 def test_mde_symmetric_tie_break():
-    # Both orderings minimize; lexicographic rule must pick (-2, 2).
-    p = blur_density([-2.0, 2.0], [0.5, 0.5], 0.25)
+    # Both orderings minimize; lexicographic rule must pick (-t, t), the
+    # lattice's own candidates nearest -2 and 2.
     f = blur_density([0.0], [1.0], 0.25)
-    theta, _ = mde_at_x(p, (0.5, 0.5), f, MdeConfig(B=2.5))
+    cfg = MdeConfig(B=2.5)
+    ctx = MdeContext(Y_SPEC, (0.5, 0.5), f, cfg)
+    t = float(ctx.axes0[0][54])
+    assert abs(t - 2.0) <= 1e-4 and float(ctx.axes0[0][6]) == -t
+    p = blur_density([-t, t], [0.5, 0.5], 0.25)
+    theta, _ = mde_at_x(p, (0.5, 0.5), f, cfg)
     assert theta[0] < theta[1]
-    assert theta == pytest.approx((-2.0, 2.0), abs=1e-9)
+    assert theta == pytest.approx((-t, t), abs=1e-9)
 
 
 def test_mde_single_component():
@@ -558,6 +563,16 @@ def test_fit_interpolates_empty_windows(gap_fit):
 def test_fit_diagnostics_record_mde_schedule(gap_fit):
     _, fit = gap_fit
     assert fit.diagnostics["mde_candidates"] == [61, 13, 13, 13]
+    # The lattice: q phases, the smallest power of two that puts 8 units
+    # in the final spacing; every solved value is a multiple of the unit.
+    unit = fit.diagnostics["mde_lattice_unit"]
+    phases = fit.diagnostics["mde_phases"]
+    final = fit.diagnostics["mde_resolution"]
+    assert phases > 0 and phases & (phases - 1) == 0
+    assert 8 * unit <= final * (1 + 1e-12)
+    assert phases == 1 or final < 16 * unit
+    solved = np.asarray(fit.m_hat)[:, ~np.asarray(fit.interpolated)]
+    assert np.array_equal(np.rint(solved / unit) * unit, solved)
     assert MdeConfig(coarse_grid=9, refine_levels=2).candidates() == [9, 9, 9]
     assert MdeConfig(refine_levels=0).candidates() == [61]
 
@@ -725,7 +740,8 @@ def test_evaluate_rejects_mismatched_inputs():
 def test_mde_recovers_theta_exactly_on_its_own_candidates(
         seed, k, refine_levels):
     # The target is built from level-0 candidates with the solver's own
-    # arithmetic, so the sweep meets it with objective exactly 0.
+    # arithmetic, their bank rows on the lattice, so the sweep meets it
+    # with objective exactly 0.
     rng = np.random.default_rng(seed)
     b_bound = float(rng.uniform(0.5, 2.0))
     coarse = {1: 41, 2: 21, 3: 9}[k]
@@ -742,14 +758,15 @@ def test_mde_recovers_theta_exactly_on_its_own_candidates(
 
     f = bump()
     lambdas = tuple(rng.dirichlet(np.ones(k)))
-    axis = np.linspace(-b_bound, b_bound, coarse)
-    theta = axis[np.sort(rng.choice(coarse, size=k, replace=False))]
     reach = b_bound + half + 0.5
     spec = GridSpec(-reach, reach, int(rng.integers(100, 1500)))
+    ctx = MdeContext(spec, lambdas, f, cfg)
+    picks = np.sort(rng.choice(coarse, size=k, replace=False))
+    theta = ctx.axes0[0][picks]
+    inner = slice(ctx.pad, ctx.pad + spec.n_points)
     target = np.zeros(spec.n_points)
-    for lam, t in zip(lambdas, theta):
-        target += lam * np.interp(spec.points() - t, f.grid, f.values,
-                                  left=0.0, right=0.0)
+    for bank, c in zip(ctx.banks0, picks):
+        target += bank[c][inner]
     p = GridDensity(spec.lo, spec.hi, target)
     got = mde_at_x(p, lambdas, f, cfg)
     assert got == (tuple(float(v) for v in theta), 0.0)
