@@ -273,8 +273,7 @@ class DiscreteMeasure:
     def normalize(self) -> "DiscreteMeasure":
         """Canonical form: sorted atoms, duplicates merged, total weight 1."""
         locs, inverse = np.unique(self._locations, return_inverse=True)
-        wts = np.zeros(locs.size)
-        np.add.at(wts, inverse, self._weights)
+        wts = np.bincount(inverse, weights=self._weights)
         return DiscreteMeasure(locs, wts / wts.sum())
 
     def shift(self, offset: float) -> "DiscreteMeasure":
@@ -412,12 +411,20 @@ def trapezoid_weights(n_points: int, spacing: float) -> np.ndarray:
     return w
 
 
-def widest_gap_bounds(gaps, k: int) -> list:
-    """Bounds ``[0, ..., len(gaps) + 1]`` of the ``k`` groups that cutting
-    the ``k - 1`` widest ``gaps`` between ordered items leaves; equal gaps
-    are cut left to right."""
-    cut = np.sort(np.argsort(-gaps, kind="stable")[:k - 1])
-    return [0, *(c + 1 for c in cut), len(gaps) + 1]
+def widest_gap_bounds(gaps, k: int) -> np.ndarray:
+    """Bounds ``[0, ..., len(gaps) + 1]`` of the groups that cutting the
+    ``k - 1`` widest ``gaps`` between ordered items leaves, or every gap
+    when there are fewer; equal gaps are cut left to right."""
+    n_cut = k - 1
+    if n_cut == 0 or n_cut >= gaps.size:
+        cut = np.arange(min(n_cut, gaps.size))
+    else:
+        # Every gap wider than the n_cut-th widest, then the leftmost ties.
+        kth = np.partition(gaps, gaps.size - n_cut)[gaps.size - n_cut]
+        wider = np.flatnonzero(gaps > kth)
+        tied = np.flatnonzero(gaps == kth)[:n_cut - wider.size]
+        cut = np.sort(np.concatenate([wider, tied]))
+    return np.concatenate([[0], cut + 1, [gaps.size + 1]])
 
 
 def l1_distance(a: GridDensity, b: GridDensity) -> float:

@@ -278,18 +278,15 @@ def threshold_partition(g_smooth: GridDensity, t: float,
     half = 0.5 * g_smooth.spacing
     padded = np.concatenate([[False], above, [False]])
     flips = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, stops = flips[::2], flips[1::2] - 1
-    intervals = [(pts[i] - half, pts[j] + half)
-                 for i, j in zip(starts, stops)]
-    if len(intervals) < k:
+    lefts = pts[flips[::2]] - half
+    rights = pts[flips[1::2] - 1] + half
+    if lefts.size < k:
         raise UnderResolutionError(
-            f"level set has {len(intervals)} maximal intervals, "
+            f"level set has {lefts.size} maximal intervals, "
             f"need at least {k}"
         )
-    gaps = np.array([intervals[i + 1][0] - intervals[i][1]
-                     for i in range(len(intervals) - 1)])
-    bounds = widest_gap_bounds(gaps, k)
-    return [IntervalSet(intervals[lo:hi])
+    bounds = widest_gap_bounds(lefts[1:] - rights[:-1], k)
+    return [IntervalSet(zip(lefts[lo:hi], rights[lo:hi]))
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -301,15 +298,13 @@ def voronoi_extend(e_hats) -> list[tuple[float, float]]:
     """
     if not e_hats:
         raise ValueError("need at least one cluster")
-    spans = [(e.lo, e.hi) for e in e_hats]
-    for (_, hi_prev), (lo_next, _) in zip(spans, spans[1:]):
-        if lo_next < hi_prev:
-            raise ValueError("clusters must be ordered and disjoint")
     bounds = [-math.inf]
-    for (_, hi_prev), (lo_next, _) in zip(spans, spans[1:]):
-        bounds.append(0.5 * (hi_prev + lo_next))
+    for prev, nxt in zip(e_hats, e_hats[1:]):
+        if nxt.lo < prev.hi:
+            raise ValueError("clusters must be ordered and disjoint")
+        bounds.append(0.5 * (prev.hi + nxt.lo))
     bounds.append(math.inf)
-    return [(bounds[i], bounds[i + 1]) for i in range(len(spans))]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def estimate_components(g: DiscreteMeasure, cells, sigma: float,

@@ -329,14 +329,13 @@ class MdeContext:
         # rows[r, o] is the view table[r, o : o + N].
         self._rows = np.lib.stride_tricks.sliding_window_view(
             table, self.pts.size, axis=1)
-        axis, self.bank0 = self.snap(
-            _axis_candidates(0.0, cfg.B, cfg.B, cfg.coarse_grid))
-        self.axes0 = [axis] * k
-        self.banks0 = [lam * self.bank0 for lam in lambdas]
+        axis = _axis_candidates(0.0, cfg.B, cfg.B, cfg.coarse_grid)
+        _, self.bank0 = self.snap(axis)
+        self.axes0, self.banks0 = self.grid_banks([axis] * k)
         self.gram0 = (self.bank0 * self.quad) @ self.bank0.T
         self.peak0 = sum(float(b.max()) for b in self.banks0)
         self.mass0 = sum(float((b @ self.quad).max()) for b in self.banks0)
-        for arr in (self.pts, self.quad, table, self.axes0[0], self.bank0,
+        for arr in (self.pts, self.quad, table, self.bank0, *self.axes0,
                     *self.banks0, self.gram0):
             arr.flags.writeable = False
 
@@ -461,11 +460,9 @@ class MdeContext:
         but the last) is evaluated in full; its minimum W0 bounds the
         level's optimum from above.  ``_cut_bounds`` bounds every other
         candidate's objective from below, and only the candidates whose
-        bound is within ``slack`` of W0 are evaluated.  K = 1 has one row.
+        bound is within ``slack`` of W0 are evaluated.
         """
         axes, banks = self.grid_banks(_refine_axes(self.cfg, level, theta))
-        if len(axes) == 1:
-            return _sweep_full_grid(target, self.quad, banks, axes, [()])
         inc = tuple(int(np.abs(axis - t).argmin())
                     for axis, t in zip(axes, theta))
         objs = np.full(tuple(axis.size for axis in axes), math.inf)
@@ -590,8 +587,7 @@ def _sweep_screened(target, quad, banks, axes, keep, objs):
     objs[tuple(todo.T)] = _objectives(target, quad, banks, todo)
     swept = np.isfinite(objs).any(axis=-1)
     combos = list(map(tuple, np.argwhere(swept).tolist()))
-    return _sweep_full_grid(target, quad, banks, axes, combos,
-                            {combo: objs[combo] for combo in combos})
+    return _sweep_full_grid(target, quad, banks, axes, combos, objs)
 
 
 def _sweep_full_grid(target, quad, banks, axes, combos, known=None):
@@ -599,18 +595,17 @@ def _sweep_full_grid(target, quad, banks, axes, combos, known=None):
 
     A row holds one candidate of every axis but the last, given by its
     index tuple, and every candidate of the last axis.  ``combos`` lists
-    the rows to sweep in lexicographic order; ``known`` maps rows whose
-    objectives are already computed to them.  Returns the
-    lexicographically smallest argmin over those rows and its objective:
-    earlier candidates win ties through a strict-improvement threshold.
+    the rows to sweep in lexicographic order; ``known``, an array indexed
+    by row, holds their objectives, else they are evaluated here.  Returns
+    the lexicographically smallest argmin over those rows and its
+    objective: earlier candidates win ties through a strict-improvement
+    threshold.
     """
     best_obj = math.inf
     best_theta = None
     for combo in combos:
-        objs = known.get(combo) if known else None
-        if objs is None:
-            objs = _objectives(target, quad, banks,
-                               _row_candidates(combo, axes))
+        objs = (known[combo] if known is not None else
+                _objectives(target, quad, banks, _row_candidates(combo, axes)))
         row_min = float(objs.min())
         tie = 1e-12 * (1.0 + abs(row_min))
         if best_theta is None \
@@ -689,32 +684,22 @@ def find_separation_point(data: Dataset, k: int, window: float,
     x_sorted = data.x[order]
     y_sorted = data.y[order]
     min_count = SEP_MIN_WINDOW_FACTOR * k
-    profile = []
-    best_x, best_sep = None, -math.inf
-    for x in xs:
-        i = np.searchsorted(x_sorted, x - window, side="left")
-        j = np.searchsorted(x_sorted, x + window, side="right")
-        ys = np.sort(y_sorted[i:j])
-        if ys.size < min_count:
-            profile.append((float(x), -math.inf))
+    starts = np.searchsorted(x_sorted, xs - window, side="left")
+    stops = np.searchsorted(x_sorted, xs + window, side="right")
+    scores = np.full(xs.size, -math.inf)
+    for i, (lo, hi) in enumerate(zip(starts, stops)):
+        if hi - lo < min_count:
             continue
+        ys = np.sort(y_sorted[lo:hi])
         bounds = widest_gap_bounds(np.diff(ys), k)
-        centers, half_ranges = [], []
-        for lo_i, hi_i in zip(bounds[:-1], bounds[1:]):
-            chunk = ys[lo_i:hi_i]
-            centers.append(0.5 * (chunk[0] + chunk[-1]))
-            half_ranges.append(0.5 * (chunk[-1] - chunk[0]))
-        centers = np.array(centers)
-        sep = float(np.diff(centers).min() - 2.0 * max(half_ranges))
-        profile.append((float(x), sep))
-        if sep > best_sep:
-            best_sep = sep
-            best_x = float(x)
-    if best_x is None:
+        first, last = ys[bounds[:-1]], ys[bounds[1:] - 1]
+        scores[i] = np.diff(0.5 * (first + last)).min() - (last - first).max()
+    if scores.max() == -math.inf:
         raise InsufficientDataError(
             f"no window of half-width {window:g} holds {min_count} points"
         )
-    return best_x, profile
+    profile = [(float(x), float(s)) for x, s in zip(xs, scores)]
+    return float(xs[scores.argmax()]), profile
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +767,6 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     if x0 is not None:
         require_finite(x0, "x0")
     _require_domain(a, b)
-    bandwidth = bandwidth or BandwidthSchedule.power_law()
     kde = ConditionalKde(data, bandwidth, a=a, b=b)
     h = kde.h
 
@@ -810,9 +794,8 @@ def fit_mixed_regression(data: Dataset, k: int, sigma: float,
     # Pooled error density: the model asserts one common f, so average
     # the per-component recoveries by their weights.
     f_grid = mixture.f_hats[0].spec()
-    pooled_vals = np.zeros(f_grid.n_points)
-    for lam, f in zip(mixture.lambdas_hat, mixture.f_hats):
-        pooled_vals += lam * f.values
+    pooled_vals = sum(lam * f.values
+                      for lam, f in zip(mixture.lambdas_hat, mixture.f_hats))
     f_pooled = GridDensity(f_grid.lo, f_grid.hi, pooled_vals,
                            normalized=True)
 

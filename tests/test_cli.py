@@ -1076,6 +1076,58 @@ def test_eval_acceptance_failure_exits_4(tmp_path, capsys):
     assert main(["eval", "--spec", spec]) == 0
 
 
+def _box_fit_record(model, n, seed, lambda_shift, half_width) -> dict:
+    """Mixture fit record for ``box_mixture_obj`` whose weights are off by
+    ``lambda_shift`` and whose boxes have half-width ``half_width`` in
+    place of 0.5, so both errors are known in advance."""
+    box = np.linspace(-half_width, half_width, 201)
+    g = DiscreteMeasure(
+        np.concatenate([box + model.mus[0], box + model.mus[1]]),
+        np.repeat([model.lambdas[0] + lambda_shift,
+                   model.lambdas[1] - lambda_shift], box.size) / box.size)
+    fit = estimate_components(g, [(-math.inf, 0.0), (0.0, math.inf)],
+                              model.sigma, GridSpec(-4.0, 4.0, 1601))
+    return {"n": n, "seed": seed, "status": "ok", "fit": fit.to_json_obj()}
+
+
+@pytest.mark.parametrize("swap, code", [(False, 0), (True, 4)])
+def test_eval_acceptance_on_a_mixture_spec_checks_bounds_and_trends(
+        tmp_path, capsys, swap, code):
+    # Weight errors 0.04 and 0.01, component-density errors about 0.26
+    # and 0.003: the smaller of each at n=5000 passes all four checks,
+    # the larger there breaks both trends but neither bound.
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    model_obj = box_mixture_obj()
+    spec = write_spec(tmp_path / "exp.json", model_obj, [500, 5000], [0, 1],
+                      out=out)
+    model = VanillaMixtureModel.from_json_obj(model_obj)
+    errors = [(0.04, 0.3), (0.01, 0.5)]
+    if swap:
+        errors.reverse()
+    for n, (shift, half_width) in zip((500, 5000), errors):
+        for seed in (0, 1):
+            record = _box_fit_record(model, n, seed, shift, half_width)
+            with open(os.path.join(out, f"fit_mixture_n{n}_seed{seed}.json"),
+                      "w") as fh:
+                json.dump(record, fh)
+    assert main(["eval", "--spec", spec, "--acceptance"]) == code
+    printed = capsys.readouterr().out
+    checks = read_json(os.path.join(out, "eval_report.json"))["acceptance"]
+    assert checks["passed"] is not swap
+    assert [c["ok"] for c in checks["checks"]] == [True, not swap] * 2
+    assert [c["name"] for c in checks["checks"]] == [
+        "lambda_error median at n=5000 <= 0.05",
+        "lambda_error median decreases from n=500 to n=5000",
+        "f_l1_max median at n=5000 <= 0.3",
+        "f_l1_max median decreases from n=500 to n=5000"]
+    assert printed.count("PASS: ") == (2 if swap else 4)
+    assert printed.count("FAIL: ") == (2 if swap else 0)
+    lambda_values = [c["value"] for c in checks["checks"][:2]]
+    assert lambda_values == pytest.approx(
+        [errors[1][0], errors[0][0] - errors[1][0]], abs=1e-12)
+
+
 def test_eval_aggregates_real_fits(reg_run):
     spec, out = reg_run
     assert main(["eval", "--spec", spec]) == 0

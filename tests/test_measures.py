@@ -26,6 +26,7 @@ from demix.measures import (
     require_int,
     require_positive_finite,
     wasserstein1,
+    widest_gap_bounds,
 )
 from measures_oracle import IntervalSet, wasserstein1_lp_oracle
 
@@ -498,3 +499,22 @@ def test_grid_spec_holds_float_ends_and_an_int_size():
     with pytest.raises(ValueError, match="^n_points must be at least 2, "
                                          "got 1$"):
         GridSpec(0.0, 1.0, 1)
+
+
+def _stable_argsort_gap_bounds(gaps, k):
+    """The K - 1 widest gaps by a full stable sort of the negated gaps."""
+    cut = np.sort(np.argsort(-gaps, kind="stable")[:k - 1])
+    return [0, *(int(c) + 1 for c in cut), gaps.size + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0])
+                     | st.floats(0.0, 10.0), max_size=30),
+       data=st.data())
+def test_widest_gap_bounds_match_the_stable_argsort_rule(gaps, data):
+    # Few distinct values make ties common; k runs past len(gaps) + 1,
+    # where every gap is cut.
+    gaps = np.array(gaps, dtype=float)
+    k = data.draw(st.integers(1, gaps.size + 3))
+    bounds = widest_gap_bounds(gaps, k)
+    assert bounds.tolist() == _stable_argsort_gap_bounds(gaps, k)

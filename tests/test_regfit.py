@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demix.errors import InsufficientDataError
+from demix.errors import EmptyWindowError, InsufficientDataError
 from demix.kde import BandwidthSchedule, ConditionalKde
 from demix.measures import (
     DiscreteMeasure,
@@ -528,6 +528,20 @@ def test_find_separation_checks_domain_bounds(bound, value):
     data = alternating_dataset(400)
     with pytest.raises(ValueError, match=f"^{bound} must be a finite number"):
         find_separation_point(data, 2, window=0.2, **{bound: value})
+
+
+def test_fit_raises_when_every_x_grid_window_is_empty():
+    # The covariates sit between the points -0.95, 0 and 0.95 of the
+    # x-grid, so only the mixture fit at x0 = 0.5 sees any data.
+    rng = np.random.default_rng(3)
+    n = 2000
+    x = rng.uniform(0.4, 0.6, n)
+    comp = rng.random(n) < 0.6
+    y = np.where(comp, 1.0, -1.0) + 0.15 * rng.standard_normal(n)
+    with pytest.raises(EmptyWindowError, match="every x-grid window"):
+        fit_mixed_regression(Dataset(x, y), 2, 0.15, x0=0.5, a=-1.0, b=1.0,
+                             bandwidth=BandwidthSchedule.fixed(0.05),
+                             n_x_grid=3)
 
 
 def test_fit_finds_x0_when_omitted():

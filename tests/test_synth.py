@@ -132,6 +132,20 @@ def test_truncated_smooth_mean_zero_and_symmetry():
     np.testing.assert_allclose(vals, vals[::-1], atol=1e-10)
 
 
+def test_truncated_smooth_sample_draws_its_centred_atoms():
+    scale = 0.5
+    g = MixingSpec.truncated_smooth(q_mean=0.7, q_sigma=1.3, scale=scale)
+    draws = g.sample(np.random.default_rng(11), 20000)
+    np.testing.assert_array_equal(
+        draws, g.sample(np.random.default_rng(11), 20000))
+    lo, hi = g.support()
+    assert hi - lo <= 4.0 * scale
+    assert lo <= draws.min() and draws.max() <= hi
+    # The atoms are centred, so the draws' standard error (< 2 scale /
+    # sqrt(n) = 0.007) bounds their mean.
+    assert abs(draws.mean()) <= 0.02
+
+
 def test_mixing_density_integrates_to_one():
     grid = GridSpec(-8.0, 8.0, 4097)
     for g in (
